@@ -242,12 +242,12 @@ fn micro(c: &mut Criterion) {
         })
     });
 
-    // Slotted command queue: the arbitrate-and-remove cycle that used to
-    // pay O(n) Vec::remove per issued access.
+    // Slotted command queue: the arbitrate-and-remove cycle over the
+    // whole queue (every bank free), the worst case for the slot index.
     g.bench_function("access_queue_pick_remove_64", |b| {
         let bliss = Bliss::new();
         b.iter(|| {
-            let mut q = AccessQueue::new(64);
+            let mut q = AccessQueue::new(64, 16);
             for i in 0..64u64 {
                 q.push(QueueEntry {
                     id: i,
@@ -261,7 +261,7 @@ fn micro(c: &mut Criterion) {
             let mut drained = 0u64;
             while !q.is_empty() {
                 let pos = bliss
-                    .pick(q.iter(), |e| {
+                    .pick(&q, &q.live_slots(), |e| {
                         if e.access.row == 3 {
                             dca_dram::RowOutcome::Hit
                         } else {
@@ -277,7 +277,7 @@ fn micro(c: &mut Criterion) {
 
     g.bench_function("bliss_pick_64", |b| {
         let bliss = Bliss::new();
-        let mut q = AccessQueue::new(64);
+        let mut q = AccessQueue::new(64, 16);
         for i in 0..64u64 {
             q.push(QueueEntry {
                 id: i,
@@ -289,7 +289,7 @@ fn micro(c: &mut Criterion) {
             .unwrap();
         }
         b.iter(|| {
-            std::hint::black_box(bliss.pick(q.iter(), |e| {
+            std::hint::black_box(bliss.pick(&q, &q.live_slots(), |e| {
                 if e.access.row == 3 {
                     dca_dram::RowOutcome::Hit
                 } else {

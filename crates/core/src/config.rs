@@ -3,6 +3,9 @@
 use dca_dram::{MappingScheme, Organization, TimingParams};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_mem_hier::MainMemConfig;
+use dca_sched::queue::{MAX_BANKS, MAX_CAPACITY};
+
+use crate::controller::REQUEST_ACCESSES;
 
 /// The controller designs raced against each other: the paper's three
 /// plus a Banshee-style bandwidth-efficient fourth.
@@ -273,6 +276,34 @@ impl SystemConfig {
                 self.event_slot_shift, max
             ));
         }
+        for (field, cap) in [
+            ("read_q_cap", self.read_q_cap),
+            ("write_q_cap", self.write_q_cap),
+        ] {
+            if cap < REQUEST_ACCESSES {
+                return Err(format!(
+                    "{field} {cap} is below {REQUEST_ACCESSES}: a cache request is \
+                     admitted only when each queue has room for its \
+                     {REQUEST_ACCESSES} accesses, so this queue would admit nothing"
+                ));
+            }
+            if cap > MAX_CAPACITY {
+                return Err(format!(
+                    "{field} {cap} exceeds {MAX_CAPACITY}, the largest queue the \
+                     slot index represents"
+                ));
+            }
+        }
+        check_banks("dram_org", &self.dram_org)?;
+        if let MainMemConfig::Cycle { org, queue_cap, .. } = self.main_mem {
+            check_banks("main_mem org", &org)?;
+            if queue_cap as usize > MAX_CAPACITY {
+                return Err(format!(
+                    "main_mem queue_cap {queue_cap} exceeds {MAX_CAPACITY}, the \
+                     largest queue the slot index represents"
+                ));
+            }
+        }
         if let EngineSel::Sharded { threads } = self.engine {
             if threads == 0 || threads > 8 {
                 return Err(format!(
@@ -313,6 +344,20 @@ impl SystemConfig {
         self.target_insts = insts;
         self.warmup_ops = warmup;
         self
+    }
+}
+
+/// Reject a bank count the per-bank slot index and the free-bank mask
+/// (one `u64` each) cannot represent.
+fn check_banks(field: &str, org: &Organization) -> Result<(), String> {
+    let banks = org.banks_per_channel() as usize;
+    if (1..=MAX_BANKS).contains(&banks) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{field} has {banks} banks per channel; the scheduler's bank masks \
+             hold 1..={MAX_BANKS}"
+        ))
     }
 }
 
@@ -399,6 +444,66 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.engine = EngineSel::Sharded { threads: 4 };
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_queues_that_cannot_admit() {
+        let base = SystemConfig::paper(Design::Cd, OrgKind::DirectMapped);
+        let mut cfg = base;
+        cfg.read_q_cap = REQUEST_ACCESSES;
+        cfg.write_q_cap = REQUEST_ACCESSES;
+        assert!(cfg.validate().is_ok(), "room for exactly one request");
+        cfg.read_q_cap = 2;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("read_q_cap 2"), "{err}");
+        let mut cfg = base;
+        cfg.write_q_cap = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("write_q_cap 0"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_queues_too_large_for_the_slot_index() {
+        let base = SystemConfig::paper(Design::Rod, OrgKind::DirectMapped);
+        let mut cfg = base;
+        cfg.read_q_cap = MAX_CAPACITY;
+        cfg.write_q_cap = MAX_CAPACITY;
+        assert!(cfg.validate().is_ok());
+        cfg.read_q_cap = MAX_CAPACITY + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("read_q_cap"), "{err}");
+        let mut cfg = base;
+        cfg.write_q_cap = MAX_CAPACITY + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("write_q_cap"), "{err}");
+        let mut cfg = SystemConfig::paper_cycle_mem(Design::Dca, OrgKind::DirectMapped);
+        assert!(cfg.validate().is_ok());
+        if let MainMemConfig::Cycle { queue_cap, .. } = &mut cfg.main_mem {
+            *queue_cap = MAX_CAPACITY as u32 + 1;
+        }
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("main_mem queue_cap"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_bank_counts_the_masks_cannot_hold() {
+        let base = SystemConfig::paper(Design::Dca, OrgKind::DirectMapped);
+        let mut cfg = base;
+        cfg.dram_org.banks_per_rank = MAX_BANKS as u32;
+        assert!(cfg.validate().is_ok());
+        cfg.dram_org.ranks = 2;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("dram_org has 128 banks"), "{err}");
+        let mut cfg = base;
+        cfg.dram_org.banks_per_rank = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("dram_org has 0 banks"), "{err}");
+        let mut cfg = SystemConfig::paper_cycle_mem(Design::Dca, OrgKind::DirectMapped);
+        if let MainMemConfig::Cycle { org, .. } = &mut cfg.main_mem {
+            org.banks_per_rank = MAX_BANKS as u32 + 1;
+        }
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("main_mem org has 65 banks"), "{err}");
     }
 
     #[test]

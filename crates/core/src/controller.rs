@@ -20,15 +20,42 @@
 //! The scheduling slot ordering implemented here follows §IV:
 //! forced write drain → PRs (or all reads) → OFS LR flushing (DCA) →
 //! opportunistic write drain.
+//!
+//! ## How a slot finds its candidates
+//!
+//! No phase scans a queue. Each [`AccessQueue`] keeps a slot index (one
+//! slot bitset per bank, a priority-class slot set, a mask of occupied
+//! banks) that `push` and `remove` update. [`ChannelController::schedule_one`]
+//! receives the channel's free-bank mask, which the caller computes
+//! once per pump and narrows by the issued bank after each issue. A
+//! phase ORs the slot sets of the free banks it may use: every bank
+//! for writes and for CD/ROD reads, masked by the PR set for DCA's
+//! phase 2 and by the LR set for OFS. OFS's RRPC test is a bank
+//! property, so it narrows the bank mask before the OR; its
+//! row-friendly test depends on each entry's row, so it filters the
+//! LR candidates one by one. A phase whose banks hold no entry stops at
+//! the mask test. The arbiter then evaluates its key only on the
+//! candidates.
+//!
+//! Candidates are visited in slot order. The winner is still the one a
+//! scan in any order would find: BLISS and FR-FCFS keys end in the
+//! entry's unique `id`, so the minimum key is unique.
 
 use dca_dram::{AccessKind, DramChannel, IssueInfo, RowOutcome};
 use dca_dram_cache::{AccessRole, AccessSpec, CacheReqKind, RequestId};
-use dca_sched::{AccessQueue, Bliss, DrainPolicy, FrFcfs, Hysteresis, QueueEntry, ReadClass};
+use dca_sched::{
+    banks_of, AccessQueue, Bliss, DrainPolicy, FrFcfs, Hysteresis, QueueEntry, ReadClass, SlotSet,
+};
 use dca_sim_core::{Counter, SimTime};
 use std::collections::VecDeque;
 
 use crate::config::{Arbiter, Design, SystemConfig};
 use crate::rrpc::Rrpc;
+
+/// Queue room [`ChannelController::can_admit`] requires in *each* queue
+/// before admitting a cache request: a whole request's worth of
+/// accesses. A queue smaller than this admits nothing.
+pub const REQUEST_ACCESSES: usize = 3;
 
 /// Controller statistics (per channel).
 #[derive(Clone, Debug, Default)]
@@ -136,13 +163,14 @@ pub struct ChannelController {
 impl ChannelController {
     /// A controller for channel `channel_index` configured per `cfg`.
     pub fn new(cfg: &SystemConfig, channel_index: u32) -> Self {
+        let banks = cfg.dram_org.banks_per_channel() as usize;
         ChannelController {
             design: cfg.design,
             arbiter: cfg.arbiter,
             channel_index,
             banks_per_channel: cfg.dram_org.banks_per_channel(),
-            read_q: AccessQueue::new(cfg.read_q_cap),
-            write_q: AccessQueue::new(cfg.write_q_cap),
+            read_q: AccessQueue::new(cfg.read_q_cap, banks),
+            write_q: AccessQueue::new(cfg.write_q_cap, banks),
             spill_read: VecDeque::new(),
             spill_write: VecDeque::new(),
             bliss: Bliss::new(),
@@ -186,8 +214,8 @@ impl ChannelController {
     pub fn can_admit(&self) -> bool {
         self.spill_read.is_empty()
             && self.spill_write.is_empty()
-            && self.read_q.len() + 3 <= self.read_q.capacity()
-            && self.write_q.len() + 3 <= self.write_q.capacity()
+            && self.read_q.len() + REQUEST_ACCESSES <= self.read_q.capacity()
+            && self.write_q.len() + REQUEST_ACCESSES <= self.write_q.capacity()
     }
 
     /// Queue placement (the design-defining function, Fig 3 / Fig 6).
@@ -262,45 +290,52 @@ impl ChannelController {
         }
     }
 
-    /// Arbitrate among `candidates` with the configured base arbiter.
-    /// Takes the candidate iterator directly — no per-slot `Vec` is ever
-    /// materialised on the scheduling path.
-    fn pick<'a, I>(&self, candidates: I, ch: &DramChannel) -> Option<usize>
-    where
-        I: IntoIterator<Item = (usize, &'a QueueEntry)>,
-    {
+    /// Arbitrate over the `candidates` slots of `queue` with the
+    /// configured base arbiter; the key is evaluated on those slots only.
+    fn pick(&self, queue: &AccessQueue, candidates: &SlotSet, ch: &DramChannel) -> Option<usize> {
         let outcome = |e: &QueueEntry| ch.peek_outcome(e.access.bank, e.access.row);
         match self.arbiter {
-            Arbiter::Bliss => self.bliss.pick(candidates, outcome),
-            Arbiter::FrFcfs => self.frfcfs.pick(candidates, outcome),
+            Arbiter::Bliss => self.bliss.pick(queue, candidates, outcome),
+            Arbiter::FrFcfs => self.frfcfs.pick(queue, candidates, outcome),
         }
     }
 
-    /// Arbitrate over bank-free write-queue entries — the shared
-    /// candidate set of all three drain modes (forced, sticky,
-    /// opportunistic).
-    fn pick_write(&self, ch: &DramChannel, now: SimTime) -> Option<usize> {
-        self.pick(
-            self.write_q
-                .iter()
-                .filter(|(_, e)| ch.bank_free(e.access.bank, now)),
-            ch,
-        )
+    /// Arbitrate over the entries of `queue` on `banks`, optionally of
+    /// one class. Most slots of a pump find no entry on a free bank;
+    /// they stop at the bank-mask test.
+    fn pick_on(
+        &self,
+        queue: &AccessQueue,
+        banks: u64,
+        class: Option<ReadClass>,
+        ch: &DramChannel,
+    ) -> Option<usize> {
+        if banks & queue.bank_mask() == 0 {
+            return None;
+        }
+        self.pick(queue, &queue.slots_on(banks, class), ch)
     }
 
-    /// Issue the entry at `pos` of the read or write queue.
+    /// Arbitrate over the write-queue entries on free banks — the shared
+    /// candidate set of all three drain modes (forced, sticky,
+    /// opportunistic).
+    fn pick_write(&self, ch: &DramChannel, free_banks: u64) -> Option<usize> {
+        self.pick_on(&self.write_q, free_banks, None, ch)
+    }
+
+    /// Issue the entry in `slot` of the read or write queue.
     fn issue_at(
         &mut self,
-        pos: usize,
+        slot: usize,
         from_write_q: bool,
         ch: &mut DramChannel,
         rrpc: &mut Rrpc,
         now: SimTime,
     ) -> Issued {
         let entry = if from_write_q {
-            self.write_q.remove(pos)
+            self.write_q.remove(slot)
         } else {
-            self.read_q.remove(pos)
+            self.read_q.remove(slot)
         };
         let info = ch.issue(entry.access, now);
         self.bliss.on_service(entry.app, now);
@@ -333,6 +368,9 @@ impl ChannelController {
 
     /// One scheduling slot: choose and issue at most one access.
     ///
+    /// `free_banks` is `ch.free_banks(now)`: the caller computes it once
+    /// per pump and clears the issued bank's bit after each issue.
+    ///
     /// Returns `None` when nothing can issue right now (queues empty, all
     /// candidate banks busy, or policy holds everything back).
     pub fn schedule_one(
@@ -340,7 +378,9 @@ impl ChannelController {
         ch: &mut DramChannel,
         rrpc: &mut Rrpc,
         now: SimTime,
+        free_banks: u64,
     ) -> Option<Issued> {
+        debug_assert_eq!(free_banks, ch.free_banks(now), "stale free-bank mask");
         self.drain_spill();
         self.bliss.maybe_clear(now);
 
@@ -358,8 +398,8 @@ impl ChannelController {
         // reached — batching writes is what keeps turnarounds rare.
         if self.drain.update_forced(wq_occ) {
             self.stats.forced_drain_slots.inc();
-            if let Some(pos) = self.pick_write(ch, now) {
-                return Some(self.issue_at(pos, true, ch, rrpc, now));
+            if let Some(slot) = self.pick_write(ch, free_banks) {
+                return Some(self.issue_at(slot, true, ch, rrpc, now));
             }
             return None;
         }
@@ -367,8 +407,8 @@ impl ChannelController {
         // Sticky drain in progress: keep serving writes ahead of LR/OFS
         // work (demand reads already cleared the mode above).
         if self.opp_drain {
-            if let Some(pos) = self.pick_write(ch, now) {
-                return Some(self.issue_at(pos, true, ch, rrpc, now));
+            if let Some(slot) = self.pick_write(ch, free_banks) {
+                return Some(self.issue_at(slot, true, ch, rrpc, now));
             }
         }
 
@@ -385,15 +425,9 @@ impl ChannelController {
             }
             _ => true,
         };
-        let picked = self.pick(
-            self.read_q
-                .iter()
-                .filter(|(_, e)| ch.bank_free(e.access.bank, now))
-                .filter(|(_, e)| sched_all || e.class == ReadClass::Priority),
-            ch,
-        );
-        if let Some(pos) = picked {
-            return Some(self.issue_at(pos, false, ch, rrpc, now));
+        let class = (!sched_all).then_some(ReadClass::Priority);
+        if let Some(slot) = self.pick_on(&self.read_q, free_banks, class, ch) {
+            return Some(self.issue_at(slot, false, ch, rrpc, now));
         }
 
         // Phase 3 (DCA only): Opportunistic Flushing Scheme for LRs.
@@ -401,42 +435,35 @@ impl ChannelController {
         // bank conflict admissions across the whole pool, so DCA's LR
         // stream keeps the row-buffer locality that CD's interleaving
         // destroys (Figs 16–17).
-        if self.design == Design::Dca && !sched_all {
-            let picked = self.pick(
-                self.read_q.iter().filter(|(_, e)| {
-                    e.class == ReadClass::LowPriority
-                        && ch.bank_free(e.access.bank, now)
-                        && ch.peek_outcome(e.access.bank, e.access.row) != RowOutcome::Conflict
-                }),
-                ch,
-            );
-            if let Some(pos) = picked {
+        if self.design == Design::Dca && !sched_all && free_banks & self.read_q.bank_mask() != 0 {
+            let mut friendly = self
+                .read_q
+                .slots_on(free_banks, Some(ReadClass::LowPriority));
+            friendly.retain(|slot| {
+                let e = self.read_q.entry(slot);
+                ch.peek_outcome(e.access.bank, e.access.row) != RowOutcome::Conflict
+            });
+            if let Some(slot) = self.pick(&self.read_q, &friendly, ch) {
                 self.stats.ofs_row_friendly.inc();
-                return Some(self.issue_at(pos, false, ch, rrpc, now));
+                return Some(self.issue_at(slot, false, ch, rrpc, now));
             }
-            let rrpc_ref: &Rrpc = rrpc;
-            let picked = self.pick(
-                self.read_q.iter().filter(|(_, e)| {
-                    e.class == ReadClass::LowPriority
-                        && ch.bank_free(e.access.bank, now)
-                        && rrpc_ref.is_cold(
-                            self.channel_index * self.banks_per_channel + e.access.bank,
-                            self.flushing_factor,
-                        )
-                }),
-                ch,
-            );
-            if let Some(pos) = picked {
+            // RRPC coldness is a bank property: keep the LRs on cold banks.
+            let base = self.channel_index * self.banks_per_channel;
+            let cold_banks = banks_of(free_banks & self.read_q.bank_mask())
+                .filter(|&b| rrpc.is_cold(base + b, self.flushing_factor))
+                .fold(0u64, |mask, b| mask | 1 << b);
+            let lr = Some(ReadClass::LowPriority);
+            if let Some(slot) = self.pick_on(&self.read_q, cold_banks, lr, ch) {
                 self.stats.ofs_rrpc_cold.inc();
-                return Some(self.issue_at(pos, false, ch, rrpc, now));
+                return Some(self.issue_at(slot, false, ch, rrpc, now));
             }
         }
 
         // Phase 4: opportunistic write drain when the read path is idle.
         if self.drain.opportunistic(wq_occ, reads_pending) {
-            if let Some(pos) = self.pick_write(ch, now) {
+            if let Some(slot) = self.pick_write(ch, free_banks) {
                 self.opp_drain = true;
-                return Some(self.issue_at(pos, true, ch, rrpc, now));
+                return Some(self.issue_at(slot, true, ch, rrpc, now));
             }
         }
 
@@ -452,6 +479,17 @@ mod tests {
 
     fn channel() -> DramChannel {
         DramChannel::new(TimingParams::paper_stacked(), &Organization::paper())
+    }
+
+    /// One scheduling slot with the free-bank mask computed fresh.
+    fn sched(
+        c: &mut ChannelController,
+        ch: &mut DramChannel,
+        r: &mut Rrpc,
+        now: SimTime,
+    ) -> Option<Issued> {
+        let free = ch.free_banks(now);
+        c.schedule_one(ch, r, now, free)
     }
 
     fn ctrl(design: Design) -> (ChannelController, Rrpc) {
@@ -524,7 +562,7 @@ mod tests {
         assert_eq!(c.write_q.len(), 1);
         // And the LR is schedulable immediately — no DCA-style holdback.
         let mut ch = channel();
-        let issued = c.schedule_one(&mut ch, &mut r, SimTime(20)).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, SimTime(20)).unwrap();
         assert_eq!(issued.entry.class, ReadClass::LowPriority);
     }
 
@@ -579,7 +617,7 @@ mod tests {
             1,
             SimTime(10),
         );
-        let issued = c.schedule_one(&mut ch, &mut r, SimTime(20)).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, SimTime(20)).unwrap();
         assert_eq!(issued.entry.class, ReadClass::LowPriority, "CD inverts");
     }
 
@@ -601,7 +639,7 @@ mod tests {
             1,
             SimTime(10),
         );
-        let issued = c.schedule_one(&mut ch, &mut r, SimTime(20)).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, SimTime(20)).unwrap();
         assert_eq!(
             issued.entry.class,
             ReadClass::Priority,
@@ -622,7 +660,7 @@ mod tests {
             SimTime(0),
         );
         // Bank 0 is closed → row-friendly → OFS admits.
-        let issued = c.schedule_one(&mut ch, &mut r, SimTime(10)).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, SimTime(10)).unwrap();
         assert_eq!(issued.entry.class, ReadClass::LowPriority);
         assert_eq!(c.stats().ofs_row_friendly.get(), 1);
     }
@@ -643,12 +681,12 @@ mod tests {
             SimTime(0),
         );
         let after = pr.burst_end;
-        assert!(c.schedule_one(&mut ch, &mut r, after).is_none());
+        assert!(sched(&mut c, &mut ch, &mut r, after).is_none());
         // Cool the bank below FF-4 (7 → 3 takes four decays).
         for b in 1..5u32 {
             r.on_priority_read(b);
         }
-        let issued = c.schedule_one(&mut ch, &mut r, after).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, after).unwrap();
         assert_eq!(issued.entry.class, ReadClass::LowPriority);
         assert_eq!(c.stats().ofs_rrpc_cold.get(), 1);
     }
@@ -679,7 +717,7 @@ mod tests {
             0,
             SimTime(0),
         );
-        let issued = c.schedule_one(&mut ch, &mut r, SimTime(10)).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, SimTime(10)).unwrap();
         assert!(issued.from_write_q, "forced drain serves writes first");
         assert!(c.stats().forced_drain_slots.get() >= 1);
     }
@@ -703,7 +741,7 @@ mod tests {
                 SimTime(0),
             );
         }
-        let issued = c.schedule_one(&mut ch, &mut r, SimTime(10)).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, SimTime(10)).unwrap();
         assert!(issued.from_write_q);
     }
 
@@ -725,7 +763,7 @@ mod tests {
                 SimTime(0),
             );
         }
-        assert!(c.schedule_one(&mut ch, &mut r, SimTime(10)).is_none());
+        assert!(sched(&mut c, &mut ch, &mut r, SimTime(10)).is_none());
     }
 
     #[test]
@@ -752,7 +790,7 @@ mod tests {
         assert!(c.stats().spilled.get() == 6);
         assert!(!c.can_admit());
         // Issue one; spill refills the queue.
-        c.schedule_one(&mut ch, &mut r, SimTime(10)).unwrap();
+        sched(&mut c, &mut ch, &mut r, SimTime(10)).unwrap();
         assert_eq!(c.read_q.len(), 64);
         assert_eq!(c.backlog(), 69);
     }
@@ -770,11 +808,11 @@ mod tests {
             SimTime(0),
         );
         assert!(
-            c.schedule_one(&mut ch, &mut r, SimTime(100)).is_none(),
+            sched(&mut c, &mut ch, &mut r, SimTime(100)).is_none(),
             "bank 3 busy until {:?}",
             first.burst_end
         );
-        assert!(c.schedule_one(&mut ch, &mut r, first.burst_end).is_some());
+        assert!(sched(&mut c, &mut ch, &mut r, first.burst_end).is_some());
     }
 
     #[test]
@@ -802,7 +840,7 @@ mod tests {
         }
         // Banks all busy until their bursts end; pick a late time.
         let t = SimTime(1_000_000);
-        let issued = c.schedule_one(&mut ch, &mut r, t).unwrap();
+        let issued = sched(&mut c, &mut ch, &mut r, t).unwrap();
         assert_eq!(issued.entry.class, ReadClass::LowPriority);
         assert!(c.stats().sched_all_entries.get() >= 1);
     }

@@ -766,16 +766,20 @@ impl System {
             }
         }
 
-        // Issue as much as the design allows.
+        // Issue as much as the design allows. The free-bank mask is
+        // computed once: an issue busies its own bank and no other.
+        let mut free_banks = self.uncore.channels[ch as usize].free_banks(now);
         loop {
             let uncore = &mut self.uncore;
             let Some(issued) = uncore.ctrls[ch as usize].schedule_one(
                 &mut uncore.channels[ch as usize],
                 &mut uncore.rrpc,
                 now,
+                free_banks,
             ) else {
                 break;
             };
+            free_banks &= !(1 << issued.entry.access.bank);
             uncore.inflight[ch as usize] += 1;
             if let Some(tl) = uncore.timeline.as_mut() {
                 let meta = *uncore

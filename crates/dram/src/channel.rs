@@ -7,6 +7,10 @@ use crate::bank::{Bank, RowOutcome};
 use crate::bus::DataBus;
 use crate::params::{Organization, TimingParams};
 
+/// Most banks one channel can have: [`DramChannel::free_banks`] is a
+/// `u64` mask.
+pub const MAX_CHANNEL_BANKS: usize = 64;
+
 /// Timing result of issuing one access.
 #[derive(Clone, Copy, Debug)]
 pub struct IssueInfo {
@@ -84,16 +88,28 @@ impl ChannelStats {
 pub struct DramChannel {
     params: TimingParams,
     banks: Vec<Bank>,
+    /// Contiguous mirror of each bank's `busy_until`, so the free-bank
+    /// mask is one pass over a short array of integers.
+    busy_until: Vec<SimTime>,
     bus: DataBus,
     stats: ChannelStats,
 }
 
 impl DramChannel {
     /// A channel with `org.banks_per_channel()` idle banks.
+    ///
+    /// # Panics
+    /// Panics unless the channel has 1 to [`MAX_CHANNEL_BANKS`] banks.
     pub fn new(params: TimingParams, org: &Organization) -> Self {
+        let banks = org.banks_per_channel() as usize;
+        assert!(
+            (1..=MAX_CHANNEL_BANKS).contains(&banks),
+            "{banks} banks per channel outside 1..={MAX_CHANNEL_BANKS}"
+        );
         DramChannel {
             params,
-            banks: vec![Bank::new(); org.banks_per_channel() as usize],
+            banks: vec![Bank::new(); banks],
+            busy_until: vec![SimTime::ZERO; banks],
             bus: DataBus::new(),
             stats: ChannelStats::default(),
         }
@@ -111,12 +127,24 @@ impl DramChannel {
 
     /// Whether `bank` can accept a new access at `now`.
     pub fn bank_free(&self, bank: u32, now: SimTime) -> bool {
-        self.banks[bank as usize].is_free(now)
+        self.busy_until[bank as usize] <= now
     }
 
     /// When `bank` finishes its in-flight access.
     pub fn bank_busy_until(&self, bank: u32) -> SimTime {
-        self.banks[bank as usize].busy_until()
+        self.busy_until[bank as usize]
+    }
+
+    /// Mask of the banks that can accept a new access at `now` (bit `b`
+    /// set ⇔ `bank_free(b, now)`). Issuing to a bank clears its bit for
+    /// the rest of `now` and changes no other bank's, so a scheduler can
+    /// compute the mask once per pump and clear bits as it issues.
+    #[inline]
+    pub fn free_banks(&self, now: SimTime) -> u64 {
+        self.busy_until
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (b, &t)| mask | ((t <= now) as u64) << b)
     }
 
     /// Row-outcome an access to (`bank`, `row`) would see right now — the
@@ -189,6 +217,8 @@ impl DramChannel {
             activated,
             act_at,
         );
+
+        self.busy_until[access.bank as usize] = burst_end;
 
         match (access.kind, outcome) {
             (AccessKind::Read, RowOutcome::Hit) => self.stats.read_row_hits.inc(),
@@ -342,6 +372,31 @@ mod tests {
         assert_eq!(c.peek_outcome(0, 6), RowOutcome::Conflict);
         assert!(c.bank_free(0, i.burst_end));
         assert!(!c.bank_free(0, SimTime::ZERO + Duration::from_ns(1)));
+    }
+
+    #[test]
+    fn free_bank_mask_mirrors_bank_state() {
+        let mut c = ch();
+        assert_eq!(c.free_banks(SimTime::ZERO), 0xFFFF);
+        let a = c.issue(DramAccess::read(3, 1), SimTime::ZERO);
+        let b = c.issue(DramAccess::write(9, 1), SimTime::ZERO);
+        for now in [SimTime::ZERO, a.burst_end, b.burst_end, t(1)] {
+            let want = (0..16u32)
+                .filter(|&bank| c.bank_free(bank, now))
+                .fold(0u64, |m, bank| m | 1 << bank);
+            assert_eq!(c.free_banks(now), want);
+        }
+        assert_eq!(c.free_banks(SimTime::ZERO), 0xFFFF & !(1 << 3 | 1 << 9));
+        assert_eq!(c.bank_busy_until(3), a.burst_end);
+        assert_eq!(c.free_banks(b.burst_end.max(a.burst_end)), 0xFFFF);
+    }
+
+    #[test]
+    #[should_panic(expected = "banks per channel outside")]
+    fn too_many_banks_panics() {
+        let mut org = Organization::paper();
+        org.banks_per_rank = 65;
+        DramChannel::new(TimingParams::paper_stacked(), &org);
     }
 
     #[test]

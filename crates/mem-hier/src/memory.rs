@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 
 use dca_dram::{AccessKind, BurstLen, DramAccess, DramChannel, Organization, TimingParams};
-use dca_sched::{AccessQueue, FrFcfs, QueueEntry, ReadClass};
+use dca_sched::{banks_of, AccessQueue, FrFcfs, QueueEntry, ReadClass};
 use dca_sim_core::{Counter, Duration, FastHashMap, SimTime};
 
 /// Which main-memory model backs the DRAM cache, plus its parameters.
@@ -252,7 +252,7 @@ impl CycleMemory {
                 .map(|_| DramChannel::new(timing, &org))
                 .collect(),
             queues: (0..org.channels)
-                .map(|_| AccessQueue::new(cap.max(1) as usize))
+                .map(|_| AccessQueue::new(cap.max(1) as usize, org.banks_per_channel() as usize))
                 .collect(),
             spill: (0..org.channels).map(|_| VecDeque::new()).collect(),
             read_tokens: FastHashMap::default(),
@@ -321,16 +321,19 @@ impl CycleMemory {
     fn schedule(&mut self, now: SimTime, out: &mut Vec<MemArrival>) {
         for ch in 0..self.channels.len() {
             self.drain_spill(ch);
+            // An issue busies its own bank and no other, so the mask is
+            // computed once per channel and updated as accesses issue.
+            let mut free_banks = self.channels[ch].free_banks(now);
             loop {
                 let channel = &self.channels[ch];
-                let picked = self.frfcfs.pick(
-                    self.queues[ch]
-                        .iter()
-                        .filter(|(_, e)| channel.bank_free(e.access.bank, now)),
-                    |e| channel.peek_outcome(e.access.bank, e.access.row),
-                );
+                let queue = &self.queues[ch];
+                let candidates = queue.slots_on(free_banks, None);
+                let picked = self.frfcfs.pick(queue, &candidates, |e| {
+                    channel.peek_outcome(e.access.bank, e.access.row)
+                });
                 let Some(pos) = picked else { break };
                 let entry = self.queues[ch].remove(pos);
+                free_banks &= !(1 << entry.access.bank);
                 let info = self.channels[ch].issue(entry.access, now);
                 self.queue_wait_ps += now.since(entry.enqueued_at).ps();
                 match entry.access.kind {
@@ -353,20 +356,20 @@ impl CycleMemory {
     }
 
     /// Earliest instant a queued access's bank frees — the next time a
-    /// pump could make progress. `None` when nothing is queued.
+    /// pump could make progress: a min over the banks that hold queued
+    /// entries. `None` when nothing is queued.
+    ///
+    /// Spilled entries wait on queue room, which opens when a queued
+    /// entry issues, so they need no term of their own (a spill with an
+    /// empty bounded queue cannot happen: push fills the queue first).
     fn next_wakeup(&self) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        for (ch, queue) in self.queues.iter().enumerate() {
-            for (_, e) in queue.iter() {
-                let t = self.channels[ch].bank_busy_until(e.access.bank);
-                earliest = Some(earliest.map_or(t, |b| b.min(t)));
-            }
-            // Spilled entries wait on queue room, which opens when any
-            // queued entry issues — covered by the loop above (a spill
-            // with an empty bounded queue cannot happen: push fills the
-            // bounded queue first).
-        }
-        earliest
+        self.queues
+            .iter()
+            .zip(&self.channels)
+            .flat_map(|(queue, channel)| {
+                banks_of(queue.bank_mask()).map(|b| channel.bank_busy_until(b))
+            })
+            .min()
     }
 
     /// Queued accesses, spill included.

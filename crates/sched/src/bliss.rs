@@ -16,7 +16,7 @@
 use dca_dram::RowOutcome;
 use dca_sim_core::{Duration, SimTime};
 
-use crate::queue::QueueEntry;
+use crate::queue::{AccessQueue, QueueEntry, SlotSet};
 
 /// Maximum applications BLISS tracks (4 cores in the paper; sized for 16).
 pub const MAX_APPS: usize = 16;
@@ -44,8 +44,12 @@ impl Bliss {
     }
 
     /// Fully parameterised constructor.
+    ///
+    /// # Panics
+    /// Panics if `streak_threshold` or `clear_interval` is zero.
     pub fn with_params(streak_threshold: u32, clear_interval: Duration) -> Self {
-        assert!(streak_threshold > 0);
+        assert!(streak_threshold > 0, "streak_threshold must be positive");
+        assert!(clear_interval.ps() > 0, "clear_interval must be positive");
         Bliss {
             blacklisted: [false; MAX_APPS],
             last_app: None,
@@ -67,11 +71,15 @@ impl Bliss {
         self.blacklist_events
     }
 
-    /// Clear blacklists if the clearing interval has elapsed.
+    /// Clear blacklists if the clearing interval has elapsed. O(1) however
+    /// long the gap: `next_clear` jumps straight to the first interval
+    /// boundary after `now`, as stepping one interval at a time would.
     pub fn maybe_clear(&mut self, now: SimTime) {
-        while now >= self.next_clear {
+        if now >= self.next_clear {
+            let interval = self.clear_interval.ps();
+            let elapsed = (now - self.next_clear).ps() / interval + 1;
             self.blacklisted = [false; MAX_APPS];
-            self.next_clear += self.clear_interval;
+            self.next_clear += Duration::from_ps(elapsed * interval);
         }
     }
 
@@ -94,65 +102,42 @@ impl Bliss {
         }
     }
 
-    /// Choose the best entry among `candidates` (positions into the
-    /// caller's queue paired with entries). `row_outcome` reports how each
-    /// entry would meet its bank's row buffer *right now*.
+    /// Choose the best entry of `queue` among the slots in `candidates`.
+    /// `row_outcome` reports how each entry would meet its bank's row
+    /// buffer *right now*; it is called once per candidate.
     ///
-    /// Returns the winning position, or `None` when there are no
-    /// candidates.
-    pub fn pick<'a, I, F>(&self, candidates: I, mut row_outcome: F) -> Option<usize>
+    /// Priority is the lexicographic minimum of (blacklisted, not a row
+    /// hit, `enqueued_at`, `id`). The key ends in the unique `id`, so the
+    /// winner does not depend on the order candidates are visited in.
+    ///
+    /// Returns the winning slot, or `None` when `candidates` is empty.
+    pub fn pick<F>(
+        &self,
+        queue: &AccessQueue,
+        candidates: &SlotSet,
+        mut row_outcome: F,
+    ) -> Option<usize>
     where
-        I: IntoIterator<Item = (usize, &'a QueueEntry)>,
         F: FnMut(&QueueEntry) -> RowOutcome,
     {
-        let mut best: Option<(usize, Key)> = None;
-        for (pos, entry) in candidates {
-            let key = Key {
-                blacklisted: self.is_blacklisted(entry.app),
-                row_hit: row_outcome(entry) == RowOutcome::Hit,
-                age: entry.enqueued_at,
-                id: entry.id,
-            };
-            match &best {
-                Some((_, bk)) if !key.beats(bk) => {}
-                _ => best = Some((pos, key)),
+        let mut best: Option<(usize, (u8, SimTime, u64))> = None;
+        for slot in candidates.iter() {
+            let e = queue.entry(slot);
+            // Rules 1 and 2 folded into one rank: blacklisted, then miss.
+            let rank =
+                (self.is_blacklisted(e.app) as u8) << 1 | (row_outcome(e) != RowOutcome::Hit) as u8;
+            let key = (rank, e.enqueued_at, e.id);
+            if best.is_none_or(|(_, b)| key < b) {
+                best = Some((slot, key));
             }
         }
-        best.map(|(pos, _)| pos)
+        best.map(|(slot, _)| slot)
     }
 }
 
 impl Default for Bliss {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Arbitration key implementing the BLISS priority order.
-#[derive(Clone, Copy, Debug)]
-struct Key {
-    blacklisted: bool,
-    row_hit: bool,
-    age: SimTime,
-    id: u64,
-}
-
-impl Key {
-    /// Strict "higher priority than" per BLISS rules.
-    fn beats(&self, other: &Key) -> bool {
-        // 1. Non-blacklisted first.
-        if self.blacklisted != other.blacklisted {
-            return !self.blacklisted;
-        }
-        // 2. Row hits first.
-        if self.row_hit != other.row_hit {
-            return self.row_hit;
-        }
-        // 3. Oldest first; unique id as the final deterministic tiebreak.
-        if self.age != other.age {
-            return self.age < other.age;
-        }
-        self.id < other.id
     }
 }
 
@@ -170,6 +155,20 @@ mod tests {
             class: ReadClass::Priority,
             enqueued_at: SimTime(at),
         }
+    }
+
+    /// Queue `entries` and pick among all of them; returns the winner's id.
+    fn pick_id(
+        b: &Bliss,
+        entries: &[QueueEntry],
+        row_outcome: impl FnMut(&QueueEntry) -> RowOutcome,
+    ) -> Option<u64> {
+        let mut q = AccessQueue::new(8, 16);
+        for &e in entries {
+            q.push(e).unwrap();
+        }
+        b.pick(&q, &q.live_slots(), row_outcome)
+            .map(|slot| q.entry(slot).id)
     }
 
     #[test]
@@ -211,6 +210,64 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "clear_interval must be positive")]
+    fn zero_clear_interval_panics() {
+        Bliss::with_params(4, Duration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "streak_threshold must be positive")]
+    fn zero_streak_threshold_panics() {
+        Bliss::with_params(0, Duration::from_ns(100));
+    }
+
+    /// `next_clear` after `maybe_clear(now)`, stepped one interval at a
+    /// time: the reference for the arithmetic catch-up.
+    fn stepped_next_clear(mut next: SimTime, interval: Duration, now: SimTime) -> SimTime {
+        while now >= next {
+            next += interval;
+        }
+        next
+    }
+
+    #[test]
+    fn long_idle_gap_catches_up_in_one_step() {
+        let interval = Duration::from_ns(100);
+        let mut b = Bliss::with_params(4, interval);
+        let mut want = b.next_clear;
+        // A jump of 10^6 intervals (plus a remainder), then a few short
+        // and boundary-exact steps: same sequence as stepping.
+        let jumps = [
+            interval.ps() * 1_000_000 + 37,
+            0,
+            1,
+            interval.ps() - 1,
+            interval.ps(),
+            interval.ps() * 3,
+        ];
+        let mut now = SimTime::ZERO;
+        for jump in jumps {
+            now += Duration::from_ps(jump);
+            for _ in 0..4 {
+                b.on_service(3, now);
+            }
+            want = stepped_next_clear(want, interval, now);
+            b.maybe_clear(now);
+            assert_eq!(b.next_clear, want, "at {now:?}");
+            assert!(b.next_clear > now);
+        }
+        assert_eq!(
+            b.next_clear.ps(),
+            interval.ps() * 1_000_006,
+            "next boundary after 10^6 intervals + 5 more"
+        );
+        // Reaching the next boundary clears the blacklist.
+        assert!(b.is_blacklisted(3));
+        b.maybe_clear(b.next_clear);
+        assert!(!b.is_blacklisted(3));
+    }
+
+    #[test]
     fn pick_prefers_non_blacklisted() {
         let mut b = Bliss::new();
         for _ in 0..4 {
@@ -218,10 +275,7 @@ mod tests {
         }
         let e0 = entry(0, 0, 0, 0, 0); // older, blacklisted app
         let e1 = entry(1, 1, 1, 0, 10); // younger, clean app
-        let picked = b
-            .pick([(0, &e0), (1, &e1)], |_| RowOutcome::Closed)
-            .unwrap();
-        assert_eq!(picked, 1);
+        assert_eq!(pick_id(&b, &[e0, e1], |_| RowOutcome::Closed), Some(1));
     }
 
     #[test]
@@ -229,16 +283,14 @@ mod tests {
         let b = Bliss::new();
         let e0 = entry(0, 0, 0, 5, 0); // older, will be a conflict
         let e1 = entry(1, 1, 1, 7, 10); // younger, row hit
-        let picked = b
-            .pick([(0, &e0), (1, &e1)], |e| {
-                if e.access.bank == 1 {
-                    RowOutcome::Hit
-                } else {
-                    RowOutcome::Conflict
-                }
-            })
-            .unwrap();
-        assert_eq!(picked, 1);
+        let picked = pick_id(&b, &[e0, e1], |e| {
+            if e.access.bank == 1 {
+                RowOutcome::Hit
+            } else {
+                RowOutcome::Conflict
+            }
+        });
+        assert_eq!(picked, Some(1));
     }
 
     #[test]
@@ -246,21 +298,26 @@ mod tests {
         let b = Bliss::new();
         let e0 = entry(7, 0, 0, 0, 50);
         let e1 = entry(3, 1, 1, 0, 50); // same age, smaller id
-        let picked = b
-            .pick([(0, &e0), (1, &e1)], |_| RowOutcome::Closed)
-            .unwrap();
-        assert_eq!(picked, 1);
+        assert_eq!(pick_id(&b, &[e0, e1], |_| RowOutcome::Closed), Some(3));
         let e2 = entry(9, 0, 0, 0, 40); // strictly older
-        let picked = b
-            .pick([(0, &e0), (1, &e1), (2, &e2)], |_| RowOutcome::Closed)
-            .unwrap();
-        assert_eq!(picked, 2);
+        assert_eq!(pick_id(&b, &[e0, e1, e2], |_| RowOutcome::Closed), Some(9));
+    }
+
+    #[test]
+    fn pick_honours_the_candidate_set() {
+        let b = Bliss::new();
+        let mut q = AccessQueue::new(8, 16);
+        q.push(entry(0, 0, 0, 0, 0)).unwrap(); // oldest, bank 0
+        q.push(entry(1, 0, 1, 0, 10)).unwrap();
+        let bank1 = q.slots_on(1 << 1, None);
+        let slot = b.pick(&q, &bank1, |_| RowOutcome::Closed).unwrap();
+        assert_eq!(q.entry(slot).id, 1, "bank 0 was not a candidate");
     }
 
     #[test]
     fn empty_candidates_pick_none() {
         let b = Bliss::new();
-        assert_eq!(b.pick(std::iter::empty(), |_| RowOutcome::Hit), None);
+        assert_eq!(pick_id(&b, &[], |_| RowOutcome::Hit), None);
     }
 
     #[test]
@@ -272,15 +329,13 @@ mod tests {
         }
         let hog = entry(0, 0, 0, 5, 0);
         let clean = entry(1, 1, 1, 9, 100);
-        let picked = b
-            .pick([(0, &hog), (1, &clean)], |e| {
-                if e.app == 0 {
-                    RowOutcome::Hit
-                } else {
-                    RowOutcome::Conflict
-                }
-            })
-            .unwrap();
-        assert_eq!(picked, 1);
+        let picked = pick_id(&b, &[hog, clean], |e| {
+            if e.app == 0 {
+                RowOutcome::Hit
+            } else {
+                RowOutcome::Conflict
+            }
+        });
+        assert_eq!(picked, Some(1));
     }
 }

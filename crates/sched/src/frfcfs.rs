@@ -7,7 +7,9 @@
 
 use dca_dram::RowOutcome;
 
-use crate::queue::QueueEntry;
+use dca_sim_core::SimTime;
+
+use crate::queue::{AccessQueue, QueueEntry, SlotSet};
 
 /// Stateless FR-FCFS arbiter.
 #[derive(Clone, Copy, Debug, Default)]
@@ -19,34 +21,28 @@ impl FrFcfs {
         FrFcfs
     }
 
-    /// Choose the best entry among `candidates`: row hits first, then by
-    /// age, then by id (deterministic tiebreak).
-    pub fn pick<'a, I, F>(&self, candidates: I, mut row_outcome: F) -> Option<usize>
+    /// Choose the best entry of `queue` among the slots in
+    /// `candidates`: row hits first, then by age, then by id. The key
+    /// ends in the unique `id`, so the winner does not depend on the
+    /// order candidates are visited in.
+    pub fn pick<F>(
+        &self,
+        queue: &AccessQueue,
+        candidates: &SlotSet,
+        mut row_outcome: F,
+    ) -> Option<usize>
     where
-        I: IntoIterator<Item = (usize, &'a QueueEntry)>,
         F: FnMut(&QueueEntry) -> RowOutcome,
     {
-        let mut best: Option<(usize, bool, u64, u64)> = None;
-        for (pos, e) in candidates {
-            let hit = row_outcome(e) == RowOutcome::Hit;
-            let key = (pos, hit, e.enqueued_at.ps(), e.id);
-            best = match best {
-                None => Some(key),
-                Some(b) => {
-                    let better = match (hit, b.1) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        _ => (key.2, key.3) < (b.2, b.3),
-                    };
-                    if better {
-                        Some(key)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+        let mut best: Option<(usize, (bool, SimTime, u64))> = None;
+        for slot in candidates.iter() {
+            let e = queue.entry(slot);
+            let key = (row_outcome(e) != RowOutcome::Hit, e.enqueued_at, e.id);
+            if best.is_none_or(|(_, b)| key < b) {
+                best = Some((slot, key));
+            }
         }
-        best.map(|(pos, ..)| pos)
+        best.map(|(slot, _)| slot)
     }
 }
 
@@ -55,7 +51,6 @@ mod tests {
     use super::*;
     use crate::queue::ReadClass;
     use dca_dram::DramAccess;
-    use dca_sim_core::SimTime;
 
     fn entry(id: u64, bank: u32, at: u64) -> QueueEntry {
         QueueEntry {
@@ -67,50 +62,50 @@ mod tests {
         }
     }
 
+    /// Queue `entries` and pick among all of them; returns the winner's id.
+    fn pick_id(
+        entries: &[QueueEntry],
+        row_outcome: impl FnMut(&QueueEntry) -> RowOutcome,
+    ) -> Option<u64> {
+        let mut q = AccessQueue::new(8, 16);
+        for &e in entries {
+            q.push(e).unwrap();
+        }
+        FrFcfs::new()
+            .pick(&q, &q.live_slots(), row_outcome)
+            .map(|slot| q.entry(slot).id)
+    }
+
     #[test]
     fn row_hit_beats_age() {
-        let arb = FrFcfs::new();
         let old_conflict = entry(0, 0, 0);
         let young_hit = entry(1, 1, 100);
-        let picked = arb
-            .pick([(0, &old_conflict), (1, &young_hit)], |e| {
-                if e.access.bank == 1 {
-                    RowOutcome::Hit
-                } else {
-                    RowOutcome::Conflict
-                }
-            })
-            .unwrap();
-        assert_eq!(picked, 1);
+        let picked = pick_id(&[old_conflict, young_hit], |e| {
+            if e.access.bank == 1 {
+                RowOutcome::Hit
+            } else {
+                RowOutcome::Conflict
+            }
+        });
+        assert_eq!(picked, Some(1));
     }
 
     #[test]
     fn age_breaks_ties() {
-        let arb = FrFcfs::new();
         let a = entry(0, 0, 50);
         let b = entry(1, 1, 20);
-        let picked = arb
-            .pick([(0, &a), (1, &b)], |_| RowOutcome::Closed)
-            .unwrap();
-        assert_eq!(picked, 1);
+        assert_eq!(pick_id(&[a, b], |_| RowOutcome::Closed), Some(1));
     }
 
     #[test]
     fn id_breaks_age_ties() {
-        let arb = FrFcfs::new();
         let a = entry(5, 0, 50);
         let b = entry(2, 1, 50);
-        let picked = arb
-            .pick([(0, &a), (1, &b)], |_| RowOutcome::Closed)
-            .unwrap();
-        assert_eq!(picked, 1);
+        assert_eq!(pick_id(&[a, b], |_| RowOutcome::Closed), Some(2));
     }
 
     #[test]
     fn empty_is_none() {
-        assert_eq!(
-            FrFcfs::new().pick(std::iter::empty(), |_| RowOutcome::Hit),
-            None
-        );
+        assert_eq!(pick_id(&[], |_| RowOutcome::Hit), None);
     }
 }

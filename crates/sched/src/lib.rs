@@ -6,7 +6,9 @@
 //! * [`queue`] — bounded access queues whose entries carry the metadata the
 //!   designs disagree about: the DRAM access itself, the *cache request
 //!   type* it came from, and (for DCA) the priority-read / low-priority-read
-//!   classification.
+//!   classification. Each queue keeps a per-bank slot index, so the
+//!   arbiters below pick from a [`SlotSet`] of candidates instead of
+//!   scanning the queue.
 //! * [`bliss`] — the Blacklisting memory scheduler (Subramanian et al.
 //!   \[11\]), the base arbitration algorithm under every design in the
 //!   paper's evaluation: applications that hog consecutive service slots
@@ -26,4 +28,4 @@ pub mod queue;
 pub use bliss::Bliss;
 pub use frfcfs::FrFcfs;
 pub use hysteresis::{DrainPolicy, Hysteresis};
-pub use queue::{AccessQueue, QueueEntry, ReadClass};
+pub use queue::{banks_of, AccessQueue, QueueEntry, ReadClass, SlotSet};

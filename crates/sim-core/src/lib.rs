@@ -67,12 +67,20 @@
 //!    indexing — no hashing anywhere on the request path; stale ids from
 //!    in-flight events are caught by the generation check rather than
 //!    aliasing recycled slots.
-//! 4. **Slotted command queues** (`dca_sched::AccessQueue`). Controller
-//!    read/write queues are sparse sets: entries live contiguously in a
-//!    dense array (arbitration scans touch only live entries, in cache
-//!    order) while stable slot ids from a free stack make removal an
-//!    O(1) `swap_remove` — no element shifting. Iteration is *not* age
-//!    ordered; arbiters carry age explicitly as `(enqueued_at, id)`.
+//! 4. **Slotted command queues** (`dca_sched::AccessQueue`). Each entry
+//!    lives in a fixed slot (O(1) push and remove, no allocation), and
+//!    `push`/`remove` keep a slot index: one slot bitset per bank
+//!    (`ceil(capacity/64)` words), a priority-class slot set, and a mask
+//!    of occupied banks. Arbitration never scans a queue. The system
+//!    computes a channel's free-bank mask once per pump from the
+//!    channel's contiguous busy-until array and clears the issued bank's
+//!    bit after each issue (an issue busies only its own bank). Each
+//!    scheduling phase then ORs the slot sets of the free banks it may
+//!    use, masked by class (PR/LR) or by an OFS bank property (RRPC
+//!    coldness), and the arbiter evaluates its key only on those
+//!    candidates. Candidates are visited in slot order, not age order;
+//!    that cannot change the winner, because every arbiter's key ends
+//!    in the entry's unique id, so the minimum is unique.
 //!
 //! The `perf_smoke` binary in `dca-bench` measures the end-to-end effect
 //! (simulated cycles/sec and events/sec, new engine vs. baseline) and
