@@ -313,7 +313,7 @@ impl WarmCache {
             let guard = match self.disk_coordinate(fp) {
                 DiskOutcome::Loaded(state) => {
                     self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                    return Arc::new(state);
+                    return Arc::from(state);
                 }
                 DiskOutcome::Build(guard) => guard,
             };
@@ -348,7 +348,7 @@ impl WarmCache {
             // quiet after the first pass: while polling, a not-yet-
             // complete or not-yet-replaced blob is expected, not news.
             if let Some(state) = self.try_disk_load_impl(fp, waited) {
-                return DiskOutcome::Loaded(state);
+                return DiskOutcome::Loaded(Box::new(state));
             }
             match LockGuard::try_acquire(&lock_path) {
                 Acquire::Held(guard) => {
@@ -357,7 +357,7 @@ impl WarmCache {
                     // storing between our read and our acquisition
                     // (read-verify-retry).
                     if let Some(state) = self.try_disk_load_impl(fp, true) {
-                        return DiskOutcome::Loaded(state);
+                        return DiskOutcome::Loaded(Box::new(state));
                     }
                     return DiskOutcome::Build(Some(guard));
                 }
@@ -475,7 +475,7 @@ impl WarmCache {
 /// How a disk-backed miss gets satisfied.
 enum DiskOutcome {
     /// A valid blob was (eventually) read.
-    Loaded(WarmState),
+    Loaded(Box<WarmState>),
     /// Build locally; the guard (if any) is the held advisory lock,
     /// released by the caller after the blob is stored.
     Build(Option<LockGuard>),

@@ -117,6 +117,6 @@ pub use config::{Arbiter, DcaParams, Design, EngineSel, SystemConfig};
 pub use controller::{ChannelController, CtrlStats};
 pub use report::{ChannelReport, CoreReport, SystemReport};
 pub use rrpc::Rrpc;
-pub use system::System;
+pub use system::{System, WARMUP_BATCH};
 pub use timeline::{Timeline, TimelineEntry};
 pub use warm::{WarmState, WARM_FORMAT_VERSION};

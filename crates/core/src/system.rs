@@ -495,6 +495,15 @@ impl MemPort for Uncore {
     }
 }
 
+/// Ops each core's stream is drawn ahead of the functional warm-up's
+/// cache walk (see `System::warmup`). A constant, not a knob: any value
+/// gives the same warm state.
+pub const WARMUP_BATCH: u64 = 64;
+
+/// How many ops ahead, in the warm-up's round-robin order, the walk
+/// prefetches the L2 and DRAM-cache tag sets.
+const PREFETCH_AHEAD: usize = 8;
+
 /// The complete simulated machine.
 pub struct System {
     cfg: SystemConfig,
@@ -682,41 +691,86 @@ impl System {
     /// 256 MB cache starts warm (the paper fast-forwards 4 B
     /// instructions with warm caches). Touches only [`HierState`] —
     /// the design-independence the warm-state checkpoint relies on.
+    ///
+    /// The walk is one op at a time in round-robin core order, but its
+    /// ops are drawn [`WARMUP_BATCH`] per core ahead. That is exact: a
+    /// generator never sees a cache answer, so each core's op sequence
+    /// is the same however far ahead it is drawn, and the batch is
+    /// walked in the round-robin order a one-op-at-a-time loop would
+    /// use. Knowing the coming ops lets the walk prefetch the L2 set
+    /// and the DRAM-cache tag set of the op [`PREFETCH_AHEAD`] places
+    /// later, so their host-cache misses overlap the current op's work.
+    /// A prefetch is only a hint to the host CPU — it reads and writes
+    /// no simulated state — so it cannot change a result either.
+    /// `tests/warm_checkpoint_equivalence.rs` compares the captured
+    /// state byte for byte with a one-op-at-a-time reference walk.
     fn warmup(cfg: &SystemConfig, hier: &mut HierState) {
         let geom = CacheGeometry::new(cfg.org_kind, cfg.dram_org, cfg.mapping);
-        for _ in 0..cfg.warmup_ops {
+        let cores = hier.gens.len();
+        let mut ops: Vec<(u64, bool)> = Vec::with_capacity(WARMUP_BATCH as usize * cores);
+        let prefetch = |hier: &HierState, block: u64| {
+            hier.l2.prefetch(block);
+            hier.tags.prefetch(geom.set_tag(block).0);
+        };
+        let mut drawn = 0;
+        while drawn < cfg.warmup_ops {
+            let batch = (cfg.warmup_ops - drawn).min(WARMUP_BATCH) as usize;
+            drawn += batch as u64;
+            ops.clear();
+            ops.resize(batch * cores, (0, false));
             for (i, gen) in hier.gens.iter_mut().enumerate() {
-                let op = gen.next_op();
-                if hier.l1[i].probe(op.block, op.is_store) {
-                    continue;
+                for k in 0..batch {
+                    let op = gen.next_op();
+                    ops[k * cores + i] = (op.block, op.is_store);
                 }
-                if !hier.l2.probe(op.block, op.is_store) {
-                    // Warm the DRAM-cache tags.
-                    let p = geom.place(op.block);
-                    match hier.tags.lookup(p.set, p.tag) {
-                        Some(w) => hier.tags.touch(p.set, w),
-                        None => {
-                            hier.tags.insert(p.set, p.tag, false);
-                        }
-                    }
-                    if let Some((victim, vdirty)) = hier.l2.allocate(op.block, op.is_store) {
-                        if vdirty {
-                            let q = geom.place(victim);
-                            match hier.tags.lookup(q.set, q.tag) {
-                                Some(w) => hier.tags.set_dirty(q.set, w, true),
-                                None => {
-                                    hier.tags.insert(q.set, q.tag, true);
-                                }
-                            }
-                        }
-                    }
+            }
+            for &(block, _) in ops.iter().take(PREFETCH_AHEAD) {
+                prefetch(hier, block);
+            }
+            for (j, &(block, is_store)) in ops.iter().enumerate() {
+                if let Some(&(ahead, _)) = ops.get(j + PREFETCH_AHEAD) {
+                    prefetch(hier, ahead);
                 }
-                if let Some((victim, vdirty)) = hier.l1[i].allocate(op.block, op.is_store) {
-                    if vdirty {
-                        hier.l2.probe(victim, true);
+                Self::warm_one(&geom, hier, j % cores, block, is_store);
+            }
+        }
+    }
+
+    /// Walk one op of core `core` through its L1, the L2 and the
+    /// DRAM-cache tags.
+    #[inline]
+    fn warm_one(
+        geom: &CacheGeometry,
+        hier: &mut HierState,
+        core: usize,
+        block: u64,
+        is_store: bool,
+    ) {
+        let l1 = &mut hier.l1[core];
+        if l1.probe(block, is_store) {
+            return;
+        }
+        if !hier.l2.probe(block, is_store) {
+            // Warm the DRAM-cache tags.
+            let (set, tag) = geom.set_tag(block);
+            match hier.tags.lookup(set, tag) {
+                Some(w) => hier.tags.touch(set, w),
+                None => {
+                    hier.tags.insert(set, tag, false);
+                }
+            }
+            if let Some((victim, true)) = hier.l2.allocate(block, is_store) {
+                let (set, tag) = geom.set_tag(victim);
+                match hier.tags.lookup(set, tag) {
+                    Some(w) => hier.tags.set_dirty(set, w, true),
+                    None => {
+                        hier.tags.insert(set, tag, true);
                     }
                 }
             }
+        }
+        if let Some((victim, true)) = l1.allocate(block, is_store) {
+            hier.l2.probe(victim, true);
         }
     }
 

@@ -35,6 +35,12 @@ pub struct TraceOp {
 /// comfortably inside the 240 MB DRAM cache (so revisits hit there once
 /// warm). Reuse ops themselves are not recorded, preventing the reuse
 /// set from collapsing onto a small L2-resident hot set.
+///
+/// Entries are region-relative block positions, below the profile's
+/// `ws_blocks`, so they fit a `u32`: a full ring is 640 KB per core,
+/// half of what `u64` entries took. Each reuse op reads one uniformly
+/// random entry, so the ring's size sets how often that read misses the
+/// host cache.
 const HISTORY: usize = 163_840;
 
 /// Alignment of concurrent streams, in blocks. 3840 blocks (240 KB) is a
@@ -57,7 +63,7 @@ pub struct TraceGen {
     /// Chase cursors (chase pattern).
     chains: Vec<u64>,
     /// Far-reuse history: recent fresh blocks (region-relative).
-    history: Vec<u64>,
+    history: Vec<u32>,
     /// Ring write cursor for `history` once full.
     hist_slot: usize,
     /// Round-robin pick counter.
@@ -80,6 +86,10 @@ impl TraceGen {
     pub fn new(profile: Profile, base: u64, seed: u64) -> Self {
         let mut rng = Prng::seed_from_u64(seed);
         let ws = profile.ws_blocks;
+        assert!(
+            ws <= 1 << 32,
+            "working set of {ws} blocks exceeds the u32 reuse history"
+        );
         let n_streams = match profile.pattern {
             Pattern::Stream { streams } => streams as usize,
             Pattern::Mixed { .. } => 2,
@@ -151,7 +161,11 @@ impl TraceGen {
         w.put_u64(self.seg_len);
         w.put_u64_slice(&self.streams);
         w.put_u64_slice(&self.chains);
-        w.put_u64_slice(&self.history);
+        // Same layout as a `u64` slice: length, then one u64 per entry.
+        w.put_u64(self.history.len() as u64);
+        for &pos in &self.history {
+            w.put_u64(pos as u64);
+        }
         w.put_u64(self.hist_slot as u64);
         w.put_u64(self.pick);
         w.put_u64(self.count);
@@ -172,14 +186,29 @@ impl TraceGen {
         let streams = r.u64_vec()?;
         let chains = r.u64_vec()?;
         let history = r.u64_vec()?;
-        let hist_slot = r.u64()? as usize;
-        if history.len() > HISTORY || (hist_slot >= HISTORY && !history.is_empty()) {
+        let hist_slot = r.u64()?;
+        // The ring fills before its cursor moves: a partial ring has
+        // cursor 0, a full one any cursor inside the ring. Anything else
+        // would diverge from the encoded stream, or overflow the cursor
+        // once the ring filled.
+        let ring_ok = match history.len() {
+            n if n < HISTORY => hist_slot == 0,
+            HISTORY => hist_slot < HISTORY as u64,
+            _ => false,
+        };
+        if !ring_ok {
             return Err(CodecError::new("history ring out of bounds"));
         }
+        let profile = bench.profile();
+        // Entries are positions inside the working set; that bound is
+        // also what makes the `u32` conversion lossless.
+        if history.iter().any(|&pos| pos >= profile.ws_blocks) {
+            return Err(CodecError::new("history entry outside the working set"));
+        }
+        let history = history.into_iter().map(|pos| pos as u32).collect();
         // Cursor counts are fixed by the benchmark's pattern; a blob
         // that disagrees would panic deep in `next_op` (`pick % len`),
         // so reject it here instead.
-        let profile = bench.profile();
         let (want_streams, want_chains) = match profile.pattern {
             Pattern::Stream { streams } => (streams as usize, 0),
             Pattern::Mixed { .. } => (2, 0),
@@ -196,7 +225,7 @@ impl TraceGen {
             seg_len,
             chains,
             history,
-            hist_slot,
+            hist_slot: hist_slot as usize,
             pick: r.u64()?,
             count: r.u64()?,
         })
@@ -215,6 +244,8 @@ impl TraceGen {
 
     /// Remember a freshly visited block (region-relative) in the history.
     fn remember(&mut self, pos: u64) {
+        // `new` bounds `ws_blocks` by 2^32 and `pos < ws_blocks`.
+        let pos = pos as u32;
         if self.history.len() < HISTORY {
             self.history.push(pos);
         } else {
@@ -239,7 +270,7 @@ impl TraceGen {
         // reuse that makes DRAM caches pay off on SPEC.
         if !self.history.is_empty() && self.rng.gen_bool(self.profile.reuse_prob) {
             let idx = self.rng.gen_range(0..self.history.len());
-            let pos = self.history[idx];
+            let pos = self.history[idx] as u64;
             return TraceOp {
                 gap,
                 is_store,
@@ -557,6 +588,70 @@ mod tests {
         buf[0] = Benchmark::Mcf.id() as u8;
         let mut r = dca_sim_core::ByteReader::new(&buf);
         assert!(TraceGen::decode(&mut r).is_err(), "cursor count mismatch");
+    }
+
+    /// Encode `g` with its reuse ring replaced by `history` and cursor
+    /// `slot`, and try to decode the result.
+    fn decode_with_ring(history: Vec<u32>, slot: usize) -> Result<TraceGen, CodecError> {
+        let mut g = gen_for(Benchmark::Gcc, 3);
+        g.history = history;
+        g.hist_slot = slot;
+        let mut w = dca_sim_core::ByteWriter::new();
+        g.encode(&mut w);
+        TraceGen::decode(&mut dca_sim_core::ByteReader::new(&w.into_vec()))
+    }
+
+    #[test]
+    fn decode_accepts_partial_and_full_rings() {
+        assert!(decode_with_ring(vec![1, 2, 3], 0).is_ok());
+        assert!(decode_with_ring(vec![7; HISTORY], 0).is_ok());
+        assert!(decode_with_ring(vec![7; HISTORY], HISTORY - 1).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_cursor_on_empty_ring() {
+        // Once such a ring filled, `remember` would overflow the cursor.
+        assert!(decode_with_ring(vec![], usize::MAX).is_err());
+        assert!(decode_with_ring(vec![], 1).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_cursor_on_partial_ring() {
+        // A partial ring never moved its cursor; a moved one would make
+        // the decoded stream diverge from the encoded one.
+        assert!(decode_with_ring(vec![1, 2, 3], 2).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_cursor_past_full_ring() {
+        assert!(decode_with_ring(vec![7; HISTORY], HISTORY).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_overlong_ring() {
+        assert!(decode_with_ring(vec![7; HISTORY + 1], 0).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_history_entry_outside_working_set() {
+        let ws = Benchmark::Gcc.profile().ws_blocks as u32;
+        assert!(decode_with_ring(vec![ws - 1], 0).is_ok());
+        assert!(decode_with_ring(vec![ws], 0).is_err());
+        // Above u32 range, where `u32` storage would truncate silently:
+        // write the u64 entry by hand.
+        let g = gen_for(Benchmark::Gcc, 3);
+        let mut w = dca_sim_core::ByteWriter::new();
+        g.encode(&mut w);
+        let mut buf = w.into_vec();
+        // A fresh generator's blob ends in four u64s: the (empty) ring's
+        // length, the cursor, the pick counter and the op count. Make
+        // the ring one entry of 2^32 + 1.
+        let tail = buf.split_off(buf.len() - 32);
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&((1u64 << 32) + 1).to_le_bytes());
+        buf.extend_from_slice(&tail[8..]);
+        let mut r = dca_sim_core::ByteReader::new(&buf);
+        assert!(TraceGen::decode(&mut r).is_err());
     }
 
     #[test]

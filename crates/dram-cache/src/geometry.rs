@@ -133,10 +133,17 @@ impl CacheGeometry {
         self.mapper.frames() * self.data_slots_per_row * 64
     }
 
+    /// The `(set, tag)` half of [`CacheGeometry::place`]: all the
+    /// functional tag array needs, without locating the DRAM row.
+    #[inline]
+    pub fn set_tag(&self, block: u64) -> (u64, u32) {
+        let sets = self.num_sets();
+        (block % sets, (block / sets) as u32)
+    }
+
     /// Locate `block` (a 64-byte block address, i.e. byte address >> 6).
     pub fn place(&self, block: u64) -> BlockPlace {
-        let set = block % self.num_sets();
-        let tag = (block / self.num_sets()) as u32;
+        let (set, tag) = self.set_tag(block);
         let frame = set / self.sets_per_row;
         let slot_in_row = (set % self.sets_per_row) as u32;
         BlockPlace {

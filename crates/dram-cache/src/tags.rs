@@ -21,7 +21,7 @@
 //! For the direct-mapped organisation the set has one way and every
 //! policy degenerates to the same trivial replacement.
 
-use dca_sim_core::{ByteReader, ByteWriter, CodecError};
+use dca_sim_core::{prefetch_read, ByteReader, ByteWriter, CodecError};
 
 /// Outcome of inserting a block into a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,6 +153,15 @@ impl TagArray {
             .iter()
             .position(|e| e.valid && e.tag == tag)
             .map(|w| w as u16)
+    }
+
+    /// Hint that `set` will be looked up soon: start loading its entries
+    /// into the host cache. Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, set: u64) {
+        let base = self.base(set);
+        prefetch_read(&self.entries, base);
+        prefetch_read(&self.entries, base + self.ways as usize - 1);
     }
 
     /// Whether (set, way) currently holds dirty data.

@@ -1,6 +1,28 @@
 //! Generic set-associative SRAM cache (L1 / L2 functional model).
+//!
+//! # Layout
+//!
+//! State is stored as parallel arrays, not one record per line. Each
+//! set's tags sit side by side, one `u64` per way, with a sentinel
+//! (`u64::MAX`, a tag no block maps to) marking an empty way, so a probe
+//! compares `ways` plain words and needs no separate valid bit. The LRU
+//! stamps live in a second array with the same indexing, and each set's
+//! dirty bits form one `u64` mask (bit `w` is way `w`), which caps
+//! associativity at 64.
+//!
+//! Why: the functional warm-up (`System::warmup` in the `dca` crate)
+//! streams hundreds of thousands of ops per core through the 8 MB,
+//! 16-way L2, and its host time goes to host-cache misses, not
+//! arithmetic. With this layout a 16-way probe reads 128 bytes of tags
+//! (two host cache lines) and writes one stamp and one mask only on a
+//! hit. A 24-byte `(tag, flags, stamp)` record per way spread the same
+//! probe over about six lines. [`SramCache::prefetch`] lets a caller
+//! that knows a future block start loading that block's set early.
+//!
+//! The checkpoint encoding is still one `(tag, flags, stamp)` record per
+//! line, so warm-state files do not depend on the in-memory layout.
 
-use dca_sim_core::{ByteReader, ByteWriter, CodecError, Counter};
+use dca_sim_core::{prefetch_read, ByteReader, ByteWriter, CodecError, Counter};
 
 /// Statistics for one SRAM cache.
 #[derive(Clone, Copy, Debug, Default)]
@@ -27,13 +49,10 @@ impl SramStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    stamp: u64,
-}
+/// Tag value of an invalid way. No block maps to it: a tag is the block
+/// address shifted right by log2(sets), and `allocate` refuses the one
+/// block (`u64::MAX` in a single-set cache) whose tag would collide.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative write-back, write-allocate SRAM cache with LRU
 /// replacement.
@@ -44,7 +63,12 @@ struct Line {
 /// not install the block until its refill returns.
 #[derive(Clone, Debug)]
 pub struct SramCache {
-    lines: Vec<Line>,
+    /// `sets × ways` tags, set-major; [`INVALID`] for an empty way.
+    tags: Vec<u64>,
+    /// LRU stamp per way, indexed like `tags`.
+    stamps: Vec<u64>,
+    /// Dirty-way mask per set.
+    dirty: Vec<u64>,
     sets: u64,
     ways: u16,
     clock: u64,
@@ -53,14 +77,17 @@ pub struct SramCache {
 
 impl SramCache {
     /// A cache of `capacity_bytes` with 64-byte blocks and `ways`
-    /// associativity. Set count must come out a power of two.
+    /// associativity (1 to 64). Set count must come out a power of two.
     pub fn new(capacity_bytes: u64, ways: u16) -> Self {
-        assert!(ways >= 1);
+        assert!((1..=64).contains(&ways), "associativity must be 1 to 64");
         let blocks = capacity_bytes / 64;
         let sets = blocks / ways as u64;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let lines = (sets * ways as u64) as usize;
         SramCache {
-            lines: vec![Line::default(); (sets * ways as u64) as usize],
+            tags: vec![INVALID; lines],
+            stamps: vec![0; lines],
+            dirty: vec![0; sets as usize],
             sets,
             ways,
             clock: 0,
@@ -94,8 +121,8 @@ impl SramCache {
     }
 
     #[inline]
-    fn set_of(&self, block: u64) -> u64 {
-        block & (self.sets - 1)
+    fn set_of(&self, block: u64) -> usize {
+        (block & (self.sets - 1)) as usize
     }
 
     #[inline]
@@ -103,9 +130,46 @@ impl SramCache {
         block >> self.sets.trailing_zeros()
     }
 
+    /// Index of the first way of `set` in `tags` and `stamps`.
     #[inline]
-    fn base(&self, set: u64) -> usize {
-        (set * self.ways as u64) as usize
+    fn base(&self, set: usize) -> usize {
+        set * self.ways as usize
+    }
+
+    /// Mask of the ways of the set at `base` whose tag equals `tag`.
+    /// Branch-free: every way is compared, with no data-dependent exit.
+    #[inline]
+    fn match_mask(&self, base: usize, tag: u64) -> u64 {
+        self.tags[base..base + self.ways as usize]
+            .iter()
+            .enumerate()
+            .fold(0, |m, (w, &t)| m | ((t == tag) as u64) << w)
+    }
+
+    /// The way holding `block`, as `(set, base, way)`, if present.
+    #[inline]
+    fn find(&self, block: u64) -> (usize, usize, Option<usize>) {
+        let set = self.set_of(block);
+        let base = self.base(set);
+        let tag = self.tag_of(block);
+        let m = if tag == INVALID {
+            0
+        } else {
+            self.match_mask(base, tag)
+        };
+        (set, base, (m != 0).then(|| m.trailing_zeros() as usize))
+    }
+
+    /// Hint that `block` will be probed or allocated soon: start loading
+    /// its set's tags and stamps into the host cache. Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, block: u64) {
+        let base = self.base(self.set_of(block));
+        let last = base + self.ways as usize - 1;
+        prefetch_read(&self.tags, base);
+        prefetch_read(&self.tags, last);
+        prefetch_read(&self.stamps, base);
+        prefetch_read(&self.stamps, last);
     }
 
     /// Probe for `block`; on a hit, updates LRU and (for writes) the dirty
@@ -113,88 +177,70 @@ impl SramCache {
     pub fn probe(&mut self, block: u64, is_write: bool) -> bool {
         self.stats.accesses.inc();
         self.clock += 1;
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        for w in 0..self.ways as usize {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.stamp = self.clock;
-                if is_write {
-                    line.dirty = true;
-                }
-                self.stats.hits.inc();
-                return true;
-            }
-        }
-        self.stats.misses.inc();
-        false
+        let (set, base, way) = self.find(block);
+        let Some(w) = way else {
+            self.stats.misses.inc();
+            return false;
+        };
+        self.stamps[base + w] = self.clock;
+        self.dirty[set] |= (is_write as u64) << w;
+        self.stats.hits.inc();
+        true
     }
 
     /// Probe without any state change (no LRU update, no stats).
     pub fn peek(&self, block: u64) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        (0..self.ways as usize).any(|w| {
-            let line = &self.lines[base + w];
-            line.valid && line.tag == tag
-        })
+        self.find(block).2.is_some()
     }
 
     /// Whether `block` is present and dirty (no state change).
     pub fn peek_dirty(&self, block: u64) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        (0..self.ways as usize).any(|w| {
-            let line = &self.lines[base + w];
-            line.valid && line.tag == tag && line.dirty
-        })
+        match self.find(block) {
+            (set, _, Some(w)) => self.dirty[set] >> w & 1 != 0,
+            _ => false,
+        }
     }
 
     /// Install `block` (refill). Returns the evicted victim block and its
     /// dirtiness, if a valid line was displaced.
+    ///
+    /// # Panics
+    /// Panics for the one block a single-set cache cannot hold,
+    /// `u64::MAX`, whose tag is the invalid-way sentinel.
     pub fn allocate(&mut self, block: u64, dirty: bool) -> Option<(u64, bool)> {
         self.clock += 1;
-        let set = self.set_of(block);
         let tag = self.tag_of(block);
-        let base = self.base(set);
+        assert_ne!(
+            tag, INVALID,
+            "block {block:#x} is outside the cache's range"
+        );
+        let (set, base, way) = self.find(block);
         // Already present (racing refills): just update.
-        for w in 0..self.ways as usize {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.stamp = self.clock;
-                line.dirty |= dirty;
-                return None;
-            }
+        if let Some(w) = way {
+            self.stamps[base + w] = self.clock;
+            self.dirty[set] |= (dirty as u64) << w;
+            return None;
         }
-        let mut victim = base;
-        for w in 0..self.ways as usize {
-            let idx = base + w;
-            if !self.lines[idx].valid {
-                victim = idx;
-                break;
-            }
-            if self.lines[idx].stamp < self.lines[victim].stamp {
-                victim = idx;
-            }
-        }
-        let evicted = if self.lines[victim].valid {
-            let v = self.lines[victim];
-            if v.dirty {
+        // The first invalid way, else the least recently used one (the
+        // lowest way on a tie).
+        let empty = self.match_mask(base, INVALID);
+        let victim = if empty != 0 {
+            empty.trailing_zeros() as usize
+        } else {
+            let stamps = &self.stamps[base..base + self.ways as usize];
+            (1..stamps.len()).fold(0, |v, w| if stamps[w] < stamps[v] { w } else { v })
+        };
+        let old = self.tags[base + victim];
+        let evicted = (old != INVALID).then(|| {
+            let vdirty = self.dirty[set] >> victim & 1 != 0;
+            if vdirty {
                 self.stats.writebacks.inc();
             }
-            Some((v.tag << self.sets.trailing_zeros() | set, v.dirty))
-        } else {
-            None
-        };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            stamp: self.clock,
-        };
+            (old << self.sets.trailing_zeros() | set as u64, vdirty)
+        });
+        self.tags[base + victim] = tag;
+        self.stamps[base + victim] = self.clock;
+        self.dirty[set] = self.dirty[set] & !(1 << victim) | (dirty as u64) << victim;
         evicted
     }
 
@@ -226,7 +272,8 @@ impl SramCache {
 
     /// Serialise the full state into `w` (checkpoint-file payload).
     /// Layout: sets, ways, clock, the four statistics counters, then one
-    /// `(tag, valid|dirty flags, stamp)` record per line.
+    /// `(tag, valid|dirty flags, stamp)` record per line, set-major. An
+    /// invalid line is written with tag 0 and clear flags.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.sets);
         w.put_u16(self.ways);
@@ -239,18 +286,25 @@ impl SramCache {
         ] {
             w.put_u64(c.get());
         }
-        for line in &self.lines {
-            w.put_u64(line.tag);
-            w.put_u8(line.valid as u8 | (line.dirty as u8) << 1);
-            w.put_u64(line.stamp);
+        for (i, (&tag, &stamp)) in self.tags.iter().zip(&self.stamps).enumerate() {
+            let way = i % self.ways as usize;
+            let valid = tag != INVALID;
+            let dirty = self.dirty[i / self.ways as usize] >> way & 1 != 0;
+            w.put_u64(if valid { tag } else { 0 });
+            w.put_u8(valid as u8 | (dirty as u8) << 1);
+            w.put_u64(stamp);
         }
     }
 
     /// Rebuild a cache from an [`SramCache::encode`] payload.
+    ///
+    /// Rejects, besides truncation and bad geometry, anything `encode`
+    /// never writes: unknown flag bits, an invalid line with a tag or a
+    /// dirty bit, and a valid line whose tag is the invalid sentinel.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<SramCache, CodecError> {
         let sets = r.u64()?;
         let ways = r.u16()?;
-        if ways == 0 || !sets.is_power_of_two() {
+        if !(1..=64).contains(&ways) || !sets.is_power_of_two() {
             return Err(CodecError::new("invalid SRAM cache geometry"));
         }
         let clock = r.u64()?;
@@ -268,22 +322,34 @@ impl SramCache {
         if r.remaining() < n.saturating_mul(17) {
             return Err(CodecError::new("SRAM cache line count exceeds buffer"));
         }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut tags = Vec::with_capacity(n);
+        let mut stamps = Vec::with_capacity(n);
+        let mut dirty = vec![0u64; sets as usize];
+        for i in 0..n {
             let tag = r.u64()?;
             let flags = r.u8()?;
+            let (valid, is_dirty) = (flags & 1 != 0, flags & 2 != 0);
             if flags > 0b11 {
                 return Err(CodecError::new("invalid SRAM line flags"));
             }
-            lines.push(Line {
-                tag,
-                valid: flags & 1 != 0,
-                dirty: flags & 2 != 0,
-                stamp: r.u64()?,
-            });
+            if valid && tag == INVALID {
+                return Err(CodecError::new(
+                    "SRAM line tag collides with the invalid sentinel",
+                ));
+            }
+            if !valid && (tag != 0 || is_dirty) {
+                return Err(CodecError::new(
+                    "invalid SRAM line carries a tag or dirty bit",
+                ));
+            }
+            tags.push(if valid { tag } else { INVALID });
+            dirty[i / ways as usize] |= (is_dirty as u64) << (i % ways as usize);
+            stamps.push(r.u64()?);
         }
         Ok(SramCache {
-            lines,
+            tags,
+            stamps,
+            dirty,
             sets,
             ways,
             clock,
@@ -294,17 +360,13 @@ impl SramCache {
     /// Clear the dirty bit of `block` if present (used by the Lee eager
     /// writeback: data is pushed downstream but the line stays resident).
     pub fn clean(&mut self, block: u64) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        for w in 0..self.ways as usize {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag && line.dirty {
-                line.dirty = false;
-                return true;
+        match self.find(block) {
+            (set, _, Some(w)) if self.dirty[set] >> w & 1 != 0 => {
+                self.dirty[set] &= !(1 << w);
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// All valid block addresses in the same set as `block` that are
@@ -314,14 +376,16 @@ impl SramCache {
         let tag = self.tag_of(block);
         let base = self.base(set);
         let shift = self.sets.trailing_zeros();
+        let mask = self.dirty[set];
         (0..self.ways as usize)
-            .filter_map(|w| {
-                let line = &self.lines[base + w];
-                (line.valid && line.dirty && line.tag != tag).then_some(line.tag << shift | set)
-            })
+            .filter(|&w| mask >> w & 1 != 0 && self.tags[base + w] != tag)
+            .map(|w| self.tags[base + w] << shift | set as u64)
             .collect()
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -502,6 +566,34 @@ mod tests {
         buf[50 + 8] = 0xFF;
         let mut r = dca_sim_core::ByteReader::new(&buf);
         assert!(SramCache::decode(&mut r).is_err(), "bad flags");
+    }
+
+    #[test]
+    fn decode_rejects_sentinel_tag_and_non_canonical_invalid_lines() {
+        let mut c = SramCache::new(1024, 1);
+        c.allocate(5, true);
+        let mut w = dca_sim_core::ByteWriter::new();
+        c.encode(&mut w);
+        let buf = w.into_vec();
+        // Line 5 (set 5 of 16, tag 0) starts after the 50-byte header.
+        let line = |i: usize| 50 + i * 17;
+        let decode = |b: &[u8]| SramCache::decode(&mut dca_sim_core::ByteReader::new(b));
+        assert!(decode(&buf).is_ok());
+        let mut bad = buf.clone();
+        bad[line(5)..line(5) + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode(&bad).is_err(), "valid line with the sentinel tag");
+        let mut bad = buf.clone();
+        bad[line(0)] = 1; // tag 1 on an invalid line
+        assert!(decode(&bad).is_err(), "invalid line with a tag");
+        let mut bad = buf.clone();
+        bad[line(0) + 8] = 0b10; // dirty but not valid
+        assert!(decode(&bad).is_err(), "invalid line marked dirty");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the cache's range")]
+    fn allocate_refuses_the_sentinel_block() {
+        SramCache::new(64 * 4, 4).allocate(u64::MAX, false);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! * [`rng`] — seed-splitting helpers so each (workload, core, component)
 //!   tuple derives an independent deterministic RNG stream, plus the
 //!   xoshiro-based [`rng::Prng`] the workload generators sample from.
+//! * [`prefetch`] — a safe software-prefetch hint for loops bound by
+//!   host-cache misses (the functional warm-up's tag walks).
 //!
 //! Everything here is intentionally dependency-free, and determinism is
 //! a correctness requirement for the experiment harness (identical seeds
@@ -128,6 +130,7 @@
 pub mod codec;
 pub mod events;
 pub mod hash;
+pub mod prefetch;
 pub mod rng;
 pub mod shardloop;
 pub mod slab;
@@ -137,6 +140,7 @@ pub mod time;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use events::{BaselineEventQueue, EventQueue};
 pub use hash::{digest64, FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
+pub use prefetch::prefetch_read;
 pub use rng::SeedSplitter;
 pub use shardloop::{Domain, Outbox, ShardConfig, ShardError, ShardRun, ShardSim};
 pub use slab::{Slab, SlabKey};

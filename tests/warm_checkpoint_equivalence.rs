@@ -4,11 +4,13 @@
 //! design, both organisations, and across the on-disk codec — and
 //! component `snapshot → restore` must round-trip exactly.
 
-use dca::{Design, System, SystemConfig, SystemReport, WarmState};
-use dca_cpu::{mix, Benchmark};
-use dca_dram_cache::{OrgKind, TagArray};
+use dca::{
+    Design, System, SystemConfig, SystemReport, WarmState, WARMUP_BATCH, WARM_FORMAT_VERSION,
+};
+use dca_cpu::{mix, Benchmark, OpStream};
+use dca_dram_cache::{CacheGeometry, MapI, OrgKind, ReplacementPolicy, TagArray};
 use dca_mem_hier::SramCache;
-use dca_sim_core::{ByteReader, ByteWriter};
+use dca_sim_core::{digest64, ByteReader, ByteWriter, SeedSplitter};
 use proptest::prelude::*;
 
 fn cfg(design: Design, org: OrgKind) -> SystemConfig {
@@ -138,6 +140,132 @@ fn codec_round_trip_preserves_run_equivalence() {
     let cold = System::new(c, &benches).run();
     let restored = System::from_warm(c, &benches, &decoded).run();
     assert_eq!(report_bytes(&cold), report_bytes(&restored));
+}
+
+/// The functional warm-up as a straight-line reference: one op at a
+/// time, round-robin over cores, each op through its L1, the L2 and the
+/// DRAM-cache tags, using only the public layer APIs. Returns the state
+/// in the `WarmState::encode` layout, and the L2's dirty evictions (so a
+/// caller can check the dirty-victim path ran).
+fn reference_warm_blob(cfg: &SystemConfig, benches: &[Benchmark]) -> (Vec<u8>, u64) {
+    let geom = CacheGeometry::new(cfg.org_kind, cfg.dram_org, cfg.mapping);
+    let seeds = SeedSplitter::new(cfg.seed);
+    let mut gens: Vec<OpStream> = benches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let base = (i as u64 + 1) << 26;
+            OpStream::for_bench(*b, base, seeds.split("core").split_index(i as u64).seed())
+        })
+        .collect();
+    let mut l1: Vec<SramCache> = benches.iter().map(|_| SramCache::paper_l1()).collect();
+    let mut l2 = SramCache::paper_l2();
+    let mut tags = TagArray::with_policy(geom.num_sets(), cfg.org_kind.ways(), cfg.replacement);
+    for _ in 0..cfg.warmup_ops {
+        for (i, gen) in gens.iter_mut().enumerate() {
+            let op = gen.next_op();
+            if l1[i].probe(op.block, op.is_store) {
+                continue;
+            }
+            if !l2.probe(op.block, op.is_store) {
+                let p = geom.place(op.block);
+                match tags.lookup(p.set, p.tag) {
+                    Some(w) => tags.touch(p.set, w),
+                    None => {
+                        tags.insert(p.set, p.tag, false);
+                    }
+                }
+                if let Some((victim, true)) = l2.allocate(op.block, op.is_store) {
+                    let q = geom.place(victim);
+                    match tags.lookup(q.set, q.tag) {
+                        Some(w) => tags.set_dirty(q.set, w, true),
+                        None => {
+                            tags.insert(q.set, q.tag, true);
+                        }
+                    }
+                }
+            }
+            if let Some((victim, true)) = l1[i].allocate(op.block, op.is_store) {
+                l2.probe(victim, true);
+            }
+        }
+    }
+    let mut w = ByteWriter::new();
+    w.put_bytes(b"DCAWARM\0");
+    w.put_u32(WARM_FORMAT_VERSION);
+    w.put_u64(WarmState::fingerprint_for(cfg, benches));
+    w.put_u32(benches.len() as u32);
+    for c in &l1 {
+        c.encode(&mut w);
+    }
+    l2.encode(&mut w);
+    tags.encode(&mut w);
+    MapI::paper().encode(&mut w);
+    w.put_u32(gens.len() as u32);
+    for g in &gens {
+        g.encode(&mut w);
+    }
+    let mut blob = w.into_vec();
+    let d = digest64(&blob);
+    blob.extend_from_slice(&d.to_le_bytes());
+    (blob, l2.stats().writebacks.get())
+}
+
+#[test]
+fn batched_warmup_matches_one_op_at_a_time_reference() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/libquantum_2800.dcat"
+    );
+    let trace = dca_cpu::register_trace_file(fixture).expect("register fixture");
+    // A 4 MB DRAM cache (16 rows per bank): the tag arrays stay small
+    // enough to encode often, and fill up, so replacement runs too.
+    let small = |org: OrgKind| {
+        let mut c = cfg(Design::Cd, org);
+        c.dram_org.rows_per_bank = 16;
+        c
+    };
+    let (dm, sa) = (
+        small(OrgKind::DirectMapped),
+        small(OrgKind::paper_set_assoc()),
+    );
+    let mut lru = sa;
+    lru.replacement = ReplacementPolicy::Lru;
+    let cases: [(&str, SystemConfig, Vec<Benchmark>); 5] = [
+        ("dm 1 core", dm, vec![Benchmark::Lbm]),
+        ("dm 4 cores", dm, mix(4).benches.to_vec()),
+        ("sa 1 core", sa, vec![Benchmark::Mcf]),
+        ("sa 4 cores lru", lru, mix(10).benches.to_vec()),
+        ("dm trace replay", dm, vec![trace, Benchmark::Gcc]),
+    ];
+    let b = WARMUP_BATCH;
+    for (name, base, benches) in &cases {
+        for ops in [0, 1, b - 1, b, b + 1] {
+            let c = base.scaled(base.target_insts, ops);
+            let (want, _) = reference_warm_blob(&c, benches);
+            let got = System::capture_warm(c, benches).encode();
+            assert!(
+                got == want,
+                "{name}, {ops} warm-up ops: warm state differs from reference"
+            );
+        }
+    }
+    // Long enough that the 8 MB L2 fills and evicts dirty victims into
+    // the tags.
+    for (name, base) in [("dm", dm), ("sa lru", lru)] {
+        let c = base.scaled(base.target_insts, 120_000);
+        let benches = mix(4).benches;
+        let (want, l2_writebacks) = reference_warm_blob(&c, &benches);
+        assert!(
+            l2_writebacks > 0,
+            "{name}: warm-up never evicted a dirty L2 line"
+        );
+        let got = System::capture_warm(c, &benches).encode();
+        assert!(
+            got == want,
+            "{name}, long warm-up: warm state differs from reference"
+        );
+    }
 }
 
 proptest! {
