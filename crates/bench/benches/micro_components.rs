@@ -11,12 +11,11 @@ use dca_sched::{AccessQueue, Bliss, QueueEntry, ReadClass};
 use dca_sim_core::{BaselineEventQueue, EventQueue, SimTime, Slab};
 
 /// Reschedule offset (ps) for the three arrival distributions the
-/// adaptive queue is benchmarked against. `0` = uniform (~1 event per
-/// 4 default slots, the shape `SLOT_SHIFT` was tuned for), `1` =
-/// clustered (sub-slot bursts with occasional long jumps — sorted
-/// inserts degrade at the default shift), anything else = bursty
-/// (phases alternate between the two every 4096 events — no fixed
-/// shift suits both, the regime the EWMA density tracker exists for).
+/// calendar queue is benchmarked against the heap on. `0` = uniform
+/// (~1 event per 4 default slots, the shape `SLOT_SHIFT` was tuned
+/// for), `1` = clustered (sub-slot bursts with occasional long jumps —
+/// sorted inserts degrade at the default shift), anything else = bursty
+/// (phases alternate between the two every 4096 events).
 fn dist_offset(dist: usize, v: u64) -> u64 {
     let sparse = 3 * 1024 + (v * 467) % 2048;
     let dense = (v * 31) % 16;
@@ -95,9 +94,8 @@ fn micro(c: &mut Criterion) {
     // all landing within one default-width calendar slot (reschedule
     // span 64 ps « 1024 ps slot). Every push into the shared bucket that
     // is out of (time, seq) order pays a sorted insert — the calendar
-    // queue's worst case, and the regime a configurable `SLOT_SHIFT`
-    // (SystemConfig::event_slot_shift) exists for: at shift 4 the same
-    // events spread over four 16 ps slots. The heap engine is the
+    // queue's worst case. At shift 4 (`EventQueue::with_slot_shift`)
+    // the same events spread over four 16 ps slots. The heap engine is the
     // clustering-insensitive reference.
     {
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -139,15 +137,10 @@ fn micro(c: &mut Criterion) {
         });
     }
 
-    // The self-tuning queue across arrival distributions: fixed default
-    // shift vs adaptive vs the heap oracle, rolling window of 256. On
-    // `uniform` the adaptive queue should match fixed (its EWMA settles
-    // inside the hysteresis band and it never rebuilds); on `clustered`
-    // and `bursty` it narrows the slots and closes most of the gap to
-    // wherever a hand-pinned shift would land — without anyone picking
-    // that shift per workload. `perf_smoke` runs the same three
-    // distributions at 200 k events and records them in
-    // `BENCH_engine.json` under `engine_adaptive.micro`.
+    // The calendar queue vs the heap oracle across arrival
+    // distributions, rolling window of 256. `perf_smoke` runs the same
+    // three distributions at 200 k events and records them in
+    // `BENCH_engine.json` under `queue_micro`.
     macro_rules! dist_bench {
         ($name:expr, $qinit:expr, $dist:expr) => {{
             let mut q = $qinit;
@@ -165,32 +158,17 @@ fn micro(c: &mut Criterion) {
     }
     dist_bench!("event_dist_uniform_fixed10", EventQueue::<u64>::new(), 0);
     dist_bench!(
-        "event_dist_uniform_adaptive",
-        EventQueue::<u64>::adaptive(),
-        0
-    );
-    dist_bench!(
         "event_dist_uniform_heap",
         BaselineEventQueue::<u64>::new(),
         0
     );
     dist_bench!("event_dist_clustered_fixed10", EventQueue::<u64>::new(), 1);
     dist_bench!(
-        "event_dist_clustered_adaptive",
-        EventQueue::<u64>::adaptive(),
-        1
-    );
-    dist_bench!(
         "event_dist_clustered_heap",
         BaselineEventQueue::<u64>::new(),
         1
     );
     dist_bench!("event_dist_bursty_fixed10", EventQueue::<u64>::new(), 2);
-    dist_bench!(
-        "event_dist_bursty_adaptive",
-        EventQueue::<u64>::adaptive(),
-        2
-    );
     dist_bench!(
         "event_dist_bursty_heap",
         BaselineEventQueue::<u64>::new(),

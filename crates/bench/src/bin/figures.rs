@@ -28,34 +28,15 @@
 //! the drain semantics. `--chunk M` sets the mixes (and alone
 //! benchmarks) per job.
 //!
-//! ## Fabric mode
-//!
-//! `--serve <addr>` runs the same sweep as a **fabric coordinator**: a
-//! TCP job service (see `shard::fabric`) that leases jobs to any
-//! number of `figures --agent <addr> --jobs N` processes, each
-//! draining jobs through its own local persistent worker pool. The
-//! coordinator journals every job transition to a write-ahead log
-//! (`results/partials/fabric.journal`) so a killed `--serve` resumes
-//! exactly; agents that die, hang or garble their uploads forfeit
-//! their leases into the ordinary retry/backoff/quarantine machinery;
-//! and if no agent is connected the coordinator falls back to local
-//! workers rather than stalling. Outputs are byte-identical to a
-//! serial run (locked by `crates/bench/tests/fabric.rs`).
-//!
 //! ## Exit codes
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success — every requested figure written |
-//! | 1    | hard error (bad environment, unwritable results, unreachable coordinator) |
+//! | 1    | hard error (bad environment, unwritable results) |
 //! | 2    | usage error |
 //! | 3    | degraded — quarantined jobs; affected figure cells render as `—` |
 //! | 130  | interrupted — in-flight jobs drained and flushed; re-run to resume |
-//!
-//! `--serve` uses the same contract (130 keeps the journal for
-//! resume). `--agent` exits 0 when released by the coordinator, 1 when
-//! the coordinator is unreachable or rejects the handshake, and 130
-//! when drained by Ctrl-C.
 
 use std::fs;
 use std::path::Path;
@@ -99,39 +80,29 @@ const FIGURE_FLAGS: &[&str] = &[
 fn usage() -> String {
     format!(
         "usage: figures [--all] [{}] [--jobs N] [--chunk M]\n\
-         \x20      figures [figure flags] --serve <addr> [--jobs N] [--chunk M]\n\
-         \x20      figures --agent <addr> [--jobs N]\n\
          \x20      figures --worker --job <id> [--job <id> ...]\n\
          \x20      figures --worker --serve\n\
          \n\
          \x20 --all          regenerate everything (default with no figure flags)\n\
          \x20 --jobs N       run through a persistent pool of N supervised workers\n\
-         \x20                (with --serve/--agent: local worker count, default\n\
-         \x20                available parallelism)\n\
          \x20 --chunk M      mixes per sharded job (default {DEFAULT_CHUNK})\n\
-         \x20 --serve <addr> fabric coordinator: lease jobs to TCP agents, journal\n\
-         \x20                transitions for crash-exact resume, fall back to local\n\
-         \x20                workers when no agent is live\n\
-         \x20 --agent <addr> fabric agent: drain coordinator jobs through a local\n\
-         \x20                worker pool (no figure flags; scale must match)\n\
          \x20 --worker       worker mode (internal)\n\
          \x20 --job <id>     a job the worker executes, one partial each (repeatable)\n\
          \x20 --serve        (with --worker) RUN/EXIT over stdin, frames over stdout\n\
          \n\
          exit codes:\n\
          \x20   0  ok — every requested figure written\n\
-         \x20   1  hard error (bad environment, unwritable results; --agent:\n\
-         \x20      coordinator unreachable or handshake rejected)\n\
+         \x20   1  hard error (bad environment, unwritable results)\n\
          \x20   2  usage\n\
          \x20   3  degraded — quarantined jobs (see results/partials/\n\
          \x20      quarantine.json); affected cells render as \"—\"\n\
          \x20 130  interrupted — in-flight jobs drained and flushed; re-run the\n\
-         \x20      same command (same dir/addr for --serve) to resume\n\
+         \x20      same command to resume\n\
          \n\
          environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM*,\n\
          \x20 DCA_JOB_TIMEOUT_MS, DCA_JOB_ATTEMPTS, DCA_RETRY_BACKOFF_MS,\n\
          \x20 DCA_HEARTBEAT_MS, DCA_HEARTBEAT_TIMEOUT_MS, DCA_POOL_INFLIGHT,\n\
-         \x20 DCA_FAULT_PLAN, DCA_FABRIC_GRACE_MS, DCA_AGENT_RETRY_MS",
+         \x20 DCA_FAULT_PLAN",
         FIGURE_FLAGS.join("] [")
     )
 }
@@ -147,10 +118,6 @@ struct Cli {
     worker_jobs: Vec<String>,
     /// Pool-worker serve loop (`--worker --serve`).
     serve: bool,
-    /// Fabric coordinator listen address (`--serve <addr>`).
-    serve_addr: Option<String>,
-    /// Fabric agent: coordinator address (`--agent <addr>`).
-    agent_addr: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -160,13 +127,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         chunk: DEFAULT_CHUNK,
         worker_jobs: Vec::new(),
         serve: false,
-        serve_addr: None,
-        agent_addr: None,
     };
     let mut all = false;
     let mut worker = false;
-    let mut it = args.iter().peekable();
-    let value_of = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
+    let mut it = args.iter();
+    let value_of = |it: &mut std::slice::Iter<String>,
                     flag: &str,
                     inline: Option<&str>|
      -> Result<String, String> {
@@ -200,33 +165,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 worker = true;
             }
             "--serve" => {
-                // Two spellings: bare `--worker --serve` is the pool
-                // worker's stdin/stdout loop; `--serve <addr>` is the
-                // fabric coordinator. A following token that is not a
-                // flag is the listen address.
-                let addr = match inline {
-                    Some(v) => Some(v.to_string()),
-                    None => match it.peek() {
-                        Some(next) if !next.starts_with("--") => it.next().cloned(),
-                        _ => None,
-                    },
-                };
-                match addr {
-                    Some(a) => {
-                        if cli.serve_addr.is_some() {
-                            return Err("--serve given twice".to_string());
-                        }
-                        cli.serve_addr = Some(a);
-                    }
-                    None => cli.serve = true,
-                }
-            }
-            "--agent" => {
-                let v = value_of(&mut it, "--agent", inline)?;
-                if cli.agent_addr.is_some() {
-                    return Err("--agent given twice".to_string());
-                }
-                cli.agent_addr = Some(v);
+                no_value("--serve")?;
+                cli.serve = true;
             }
             "--job" => cli.worker_jobs.push(value_of(&mut it, "--job", inline)?),
             "--jobs" => {
@@ -268,19 +208,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if worker && (all || !cli.figures.is_empty() || cli.jobs.is_some()) {
         return Err("--worker takes no figure selection or --jobs".to_string());
     }
-    if cli.serve_addr.is_some() && (worker || cli.serve || !cli.worker_jobs.is_empty()) {
-        return Err("--serve <addr> excludes --worker and --job".to_string());
-    }
-    if let Some(addr) = &cli.agent_addr {
-        if worker || cli.serve || !cli.worker_jobs.is_empty() || cli.serve_addr.is_some() {
-            return Err("--agent excludes --worker, --job and --serve".to_string());
-        }
-        if all || !cli.figures.is_empty() {
-            return Err(format!(
-                "--agent {addr} takes no figure selection (the coordinator owns the plan)"
-            ));
-        }
-    }
     if all {
         cli.figures.clear();
     }
@@ -289,13 +216,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 fn wanted(cli: &Cli, flag: &str) -> bool {
     cli.figures.is_empty() || cli.figures.iter().any(|f| f == flag)
-}
-
-/// Worker count when `--jobs` is not given in a fabric role.
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Write one figure to stdout and `results/<name>.{md,csv,json}`.
@@ -786,14 +706,6 @@ fn main() {
         shard::pool::serve();
     }
 
-    // Fabric agent: connect to the coordinator and drain its jobs
-    // through a local worker pool. Everything figure-shaped (plans,
-    // scale banner, results/) belongs to the coordinator.
-    if let Some(addr) = &cli.agent_addr {
-        let workers = cli.jobs.unwrap_or_else(default_workers);
-        std::process::exit(shard::agent::run(addr, workers));
-    }
-
     // One-shot worker mode: drain the given jobs (one partial each),
     // no banner, no figure output.
     if !cli.worker_jobs.is_empty() {
@@ -853,8 +765,7 @@ fn main() {
     let mut degraded = false;
     if !plans.is_empty() {
         let jobs = shard::plan_jobs(&plans, cli.chunk);
-        let pooled = cli.jobs.is_some() || cli.serve_addr.is_some();
-        let store = if pooled {
+        let store = if let Some(workers) = cli.jobs {
             shard::supervisor::install_signal_handlers();
             // Partials left by an *older plan* (different scale,
             // chunking, or figure set) would linger forever; prune
@@ -864,23 +775,12 @@ fn main() {
             if pruned > 0 {
                 eprintln!("figures: pruned {pruned} orphan partial(s) left by a previous plan");
             }
-            let workers = cli.jobs.unwrap_or_else(default_workers);
-            let (outcome, mode) = match &cli.serve_addr {
-                Some(addr) => (
-                    shard::server::serve_run(addr, &jobs, workers, &scale),
-                    format!("fabric coordinator on {addr}"),
-                ),
-                None => (
-                    shard::supervisor::Supervisor::new(workers).run(&jobs),
-                    format!("{workers} workers"),
-                ),
-            };
-            match outcome {
+            match shard::supervisor::Supervisor::new(workers).run(&jobs) {
                 Ok(outcome) => {
                     let s = outcome.stats;
                     eprintln!(
                         "figures: pool: {} jobs run, {} reused from prior partials, \
-                         {} retried, {} quarantined, {} worker respawns, {mode}",
+                         {} retried, {} quarantined, {} worker respawns, {workers} workers",
                         s.run, s.reused, s.retried, s.quarantined, s.respawns
                     );
                     if outcome.drained {
@@ -945,5 +845,62 @@ fn main() {
     }
     if degraded {
         std::process::exit(3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn bare_worker_serve_is_the_pool_worker_loop() {
+        let cli = parse(&["--worker", "--serve"]).expect("pool worker");
+        assert!(cli.serve);
+        assert!(cli.worker_jobs.is_empty());
+        assert!(parse(&["--serve"]).is_err(), "--serve requires --worker");
+    }
+
+    #[test]
+    fn serve_takes_no_value() {
+        let err = parse(&["--worker", "--serve=x"]).err().expect("rejected");
+        assert!(err.contains("takes no value"), "{err}");
+        for args in [
+            &["--serve", "127.0.0.1:1"][..],
+            &["--worker", "--serve", "127.0.0.1:1"],
+            &["--fig8", "--serve", "127.0.0.1:1"],
+        ] {
+            let err = parse(args).err().expect("rejected");
+            assert!(
+                err.contains("unrecognized flag \"127.0.0.1:1\""),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn agent_is_not_a_flag() {
+        for args in [&["--agent", "h:1"][..], &["--agent=h:1"]] {
+            let err = parse(args).err().expect("rejected");
+            assert!(
+                err.contains("unrecognized flag \"--agent\""),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn job_requires_worker() {
+        let err = parse(&["--job", "al_dm_i1_w1_s0_mmf_bgcc"])
+            .err()
+            .expect("rejected");
+        assert!(err.contains("--job requires --worker"), "{err}");
+        let cli = parse(&["--worker", "--job", "al_dm_i1_w1_s0_mmf_bgcc"]).expect("worker");
+        assert_eq!(cli.worker_jobs, ["al_dm_i1_w1_s0_mmf_bgcc"]);
+        assert!(!cli.serve);
     }
 }

@@ -1,36 +1,28 @@
-//! Determinism regression across event-engine implementations.
+//! Determinism regression across the two event engines.
 //!
 //! The calendar-queue engine replaced the original `BinaryHeap` engine on
 //! the promise that `(time, insertion-seq)` delivery order — and hence
-//! every simulation statistic — is preserved bit-for-bit. That promise
-//! now covers four engines: the heap oracle, the fixed-width calendar
-//! queue, the density-adaptive calendar queue, and the domain-sharded
-//! engine at 1/2/4 threads. These tests hold it under the full system
-//! model: the same seed must produce identical `SystemReport`s
-//! run-to-run on each engine, *and* across the whole engine × design ×
-//! organisation matrix.
+//! every simulation statistic — is preserved bit-for-bit. These tests
+//! hold that promise under the full system model: the same seed must
+//! produce identical `SystemReport`s run-to-run on each engine, and the
+//! calendar queue must match the heap oracle on every design, on both
+//! cache organisations, and on both the flat and the cycle-level DDR4
+//! main memory.
 
-use dca::{Design, EngineSel, System, SystemConfig, SystemReport};
+use dca::{
+    ChannelReport, CoreReport, CtrlStats, Design, EngineSel, System, SystemConfig, SystemReport,
+};
 use dca_cpu::mix;
 use dca_dram_cache::OrgKind;
+use dca_mem_hier::MainMemStats;
 
-/// Every engine variant under test. The heap engine is the oracle the
-/// others are compared against.
-const ENGINES: [EngineSel; 6] = [
-    EngineSel::Heap,
-    EngineSel::Calendar,
-    EngineSel::CalendarAdaptive,
-    EngineSel::Sharded { threads: 1 },
-    EngineSel::Sharded { threads: 2 },
-    EngineSel::Sharded { threads: 4 },
-];
+/// Both engines. The heap engine is the oracle the calendar queue is
+/// compared against.
+const ENGINES: [EngineSel; 2] = [EngineSel::Heap, EngineSel::Calendar];
 
-fn engine_label(e: EngineSel) -> String {
-    e.token()
-}
-
-fn run(design: Design, org: OrgKind, engine: EngineSel, seed: u64) -> SystemReport {
-    let mut cfg = SystemConfig::paper(design, org);
+/// Run mix 3 on `cfg` (the paper config of some design, org and main
+/// memory) at test scale.
+fn run_cfg(mut cfg: SystemConfig, engine: EngineSel, seed: u64) -> SystemReport {
     cfg.target_insts = 40_000;
     cfg.warmup_ops = 150_000;
     cfg.seed = seed;
@@ -38,38 +30,136 @@ fn run(design: Design, org: OrgKind, engine: EngineSel, seed: u64) -> SystemRepo
     System::new(cfg, &mix(3).benches).run()
 }
 
-/// Every integer statistic the report carries (floats are derived from
-/// these; comparing the integers is the bit-level check).
+fn run(design: Design, org: OrgKind, engine: EngineSel, seed: u64) -> SystemReport {
+    run_cfg(SystemConfig::paper(design, org), engine, seed)
+}
+
+/// Every statistic the report carries: each integer field of the report,
+/// its cores, channels, controllers and main memory, plus the bit
+/// patterns of the floats derived from them. The destructuring names
+/// every field, so a field added to any of these structs fails to
+/// compile here until it is fingerprinted.
 fn fingerprint(r: &SystemReport) -> Vec<u64> {
+    let SystemReport {
+        cores,
+        channels,
+        l2_miss_latency,
+        cache_read_hits,
+        cache_read_misses,
+        predictor_accuracy,
+        mem_reads,
+        mem_writes,
+        main_mem,
+        writeback_requests,
+        refill_requests,
+        cache_fills,
+        fill_bypasses,
+        end_time,
+        events_processed,
+        timeline: _,
+    } = r;
+    let MainMemStats {
+        backend,
+        reads: mm_reads,
+        writes: mm_writes,
+        busy_ps,
+        row_hits,
+        row_conflicts,
+        turnarounds: mm_turnarounds,
+        peak_queue,
+        queue_wait_ps,
+    } = main_mem;
     let mut v = vec![
-        r.end_time.ps(),
-        r.events_processed,
-        r.mem_reads,
-        r.mem_writes,
-        r.writeback_requests,
-        r.refill_requests,
-        r.cache_read_hits,
-        r.cache_read_misses,
-        r.l2_miss_latency.count(),
+        end_time.ps(),
+        *events_processed,
+        *mem_reads,
+        *mem_writes,
+        *writeback_requests,
+        *refill_requests,
+        *cache_fills,
+        *fill_bypasses,
+        *cache_read_hits,
+        *cache_read_misses,
+        predictor_accuracy.to_bits(),
+        l2_miss_latency.count(),
+        l2_miss_latency.mean_ns().to_bits(),
+        l2_miss_latency.p99_ns().to_bits(),
+        u64::from(*backend == "cycle"),
+        *mm_reads,
+        *mm_writes,
+        *busy_ps,
+        *row_hits,
+        *row_conflicts,
+        *mm_turnarounds,
+        *peak_queue,
+        *queue_wait_ps,
     ];
-    for c in &r.cores {
-        v.push(c.insts);
-        v.push(c.cycles);
+    for c in cores {
+        let CoreReport {
+            bench: _,
+            insts,
+            cycles,
+            ipc,
+        } = c;
+        v.extend([*insts, *cycles, ipc.to_bits()]);
     }
-    for ch in &r.channels {
-        v.push(ch.reads);
-        v.push(ch.writes);
-        v.push(ch.turnarounds);
-        v.push(ch.read_row_conflicts);
-        v.push(ch.ctrl.pr_served.get());
-        v.push(ch.ctrl.lr_served.get());
-        v.push(ch.ctrl.writes_served.get());
-        v.push(ch.ctrl.forced_drain_slots.get());
-        v.push(ch.ctrl.pr_wait_ps);
-        v.push(ch.ctrl.lr_wait_ps);
-        v.push(ch.ctrl.write_wait_ps);
+    for ch in channels {
+        let ChannelReport {
+            reads,
+            writes,
+            turnarounds,
+            accesses_per_turnaround,
+            read_row_hit_rate,
+            read_row_conflicts,
+            ctrl,
+        } = ch;
+        let CtrlStats {
+            pr_served,
+            lr_served,
+            writes_served,
+            ofs_row_friendly,
+            ofs_rrpc_cold,
+            forced_drain_slots,
+            spilled,
+            sched_all_entries,
+            pr_wait_ps,
+            lr_wait_ps,
+            write_wait_ps,
+        } = ctrl;
+        v.extend([
+            *reads,
+            *writes,
+            *turnarounds,
+            accesses_per_turnaround.to_bits(),
+            read_row_hit_rate.to_bits(),
+            *read_row_conflicts,
+            pr_served.get(),
+            lr_served.get(),
+            writes_served.get(),
+            ofs_row_friendly.get(),
+            ofs_rrpc_cold.get(),
+            forced_drain_slots.get(),
+            spilled.get(),
+            sched_all_entries.get(),
+            *pr_wait_ps,
+            *lr_wait_ps,
+            *write_wait_ps,
+        ]);
     }
     v
+}
+
+/// Assert the calendar queue reproduces the heap oracle on `cfg`, and
+/// return the calendar run's report.
+fn assert_engines_agree(cfg: SystemConfig, seed: u64, what: &str) -> SystemReport {
+    let oracle = run_cfg(cfg, EngineSel::Heap, seed);
+    let calendar = run_cfg(cfg, EngineSel::Calendar, seed);
+    assert_eq!(
+        fingerprint(&calendar),
+        fingerprint(&oracle),
+        "calendar diverges from the heap oracle on {what}"
+    );
+    calendar
 }
 
 #[test]
@@ -80,8 +170,7 @@ fn same_engine_same_seed_identical() {
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
-            "{} engine is not reproducible",
-            engine_label(engine)
+            "{engine:?} engine is not reproducible"
         );
     }
 }
@@ -89,66 +178,30 @@ fn same_engine_same_seed_identical() {
 #[test]
 fn all_engines_agree_bit_for_bit_all_designs() {
     for design in Design::ALL {
-        let oracle = run(design, OrgKind::DirectMapped, EngineSel::Heap, 11);
-        let oracle_fp = fingerprint(&oracle);
-        for engine in ENGINES {
-            if engine == EngineSel::Heap {
-                continue;
-            }
-            let r = run(design, OrgKind::DirectMapped, engine, 11);
-            assert_eq!(
-                fingerprint(&r),
-                oracle_fp,
-                "{} diverges from the heap oracle on {}",
-                engine_label(engine),
-                design.label()
-            );
-        }
+        let cfg = SystemConfig::paper(design, OrgKind::DirectMapped);
+        assert_engines_agree(cfg, 11, &format!("{} DM flat", design.label()));
     }
 }
 
 #[test]
 fn all_engines_agree_set_assoc_and_other_seed() {
-    let oracle = run(Design::Dca, OrgKind::paper_set_assoc(), EngineSel::Heap, 99);
-    let oracle_fp = fingerprint(&oracle);
-    for engine in ENGINES {
-        let r = run(Design::Dca, OrgKind::paper_set_assoc(), engine, 99);
-        assert_eq!(
-            fingerprint(&r),
-            oracle_fp,
-            "{} diverges on the set-associative organisation",
-            engine_label(engine)
-        );
+    for design in Design::ALL {
+        let cfg = SystemConfig::paper(design, OrgKind::paper_set_assoc());
+        assert_engines_agree(cfg, 99, &format!("{} SA flat", design.label()));
     }
 }
 
 #[test]
-fn calendar_slot_width_is_a_pure_perf_knob() {
-    // The configurable bucket width must never leak into results: runs
-    // at extreme widths (16 ps and 64 ns slots) match the default and
-    // the heap engine bit-for-bit — on the fixed, adaptive (initial
-    // width), and sharded (per-shard width) engines alike.
-    let reference = run(Design::Dca, OrgKind::DirectMapped, EngineSel::Heap, 23);
-    let reference_fp = fingerprint(&reference);
-    for engine in [
-        EngineSel::Calendar,
-        EngineSel::CalendarAdaptive,
-        EngineSel::Sharded { threads: 2 },
-    ] {
-        for shift in [4u32, 10, 16] {
-            let mut cfg = SystemConfig::paper(Design::Dca, OrgKind::DirectMapped);
-            cfg.target_insts = 40_000;
-            cfg.warmup_ops = 150_000;
-            cfg.seed = 23;
-            cfg.engine = engine;
-            cfg.event_slot_shift = shift;
-            let r = System::new(cfg, &mix(3).benches).run();
-            assert_eq!(
-                fingerprint(&r),
-                reference_fp,
-                "slot shift {shift} changed results on {}",
-                engine_label(engine)
-            );
+fn all_engines_agree_on_the_cycle_level_main_memory() {
+    // The cycle-level device schedules its own MemPump/MemArrive events,
+    // so it is a second event stream the engines must order identically.
+    for org in [OrgKind::DirectMapped, OrgKind::paper_set_assoc()] {
+        for design in Design::ALL {
+            let cfg = SystemConfig::paper_cycle_mem(design, org);
+            let what = format!("{} {} cycle-level", design.label(), org.label());
+            let r = assert_engines_agree(cfg, 11, &what);
+            assert_eq!(r.main_mem.backend, "cycle", "{what}");
+            assert!(r.main_mem.reads > 0, "{what}: the device saw no traffic");
         }
     }
 }

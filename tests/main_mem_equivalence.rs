@@ -4,10 +4,11 @@
 //! captured from the seed simulator immediately before the refactor
 //! (commit 8caf634, `SystemConfig::paper(..).scaled(25_000, 120_000)`
 //! on Table I mix 3). With the cycle-level backend the same machinery
-//! must run every design to completion, deterministically, under both
-//! event engines.
+//! must run every design to completion, deterministically (the
+//! heap-vs-calendar check on this backend lives in
+//! `tests/engine_equivalence.rs`).
 
-use dca::{Design, System, SystemConfig, SystemReport};
+use dca::{Design, System, SystemConfig};
 use dca_cpu::mix;
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_mem_hier::MainMemConfig;
@@ -197,55 +198,6 @@ fn explicit_srrip_policy_is_bit_identical_to_the_seed_model() {
             ),
             (end_ps, events, mr, mw, hits, misses, wbs, cores),
             "{design}/{org}: explicit SRRIP diverged from the seed model"
-        );
-    }
-}
-
-fn fingerprint(r: &SystemReport) -> Vec<u64> {
-    let mut v = vec![
-        r.end_time.ps(),
-        r.events_processed,
-        r.mem_reads,
-        r.mem_writes,
-        r.cache_read_hits,
-        r.cache_read_misses,
-        r.writeback_requests,
-        r.refill_requests,
-        r.main_mem.row_hits,
-        r.main_mem.row_conflicts,
-        r.main_mem.turnarounds,
-        r.main_mem.peak_queue,
-        r.main_mem.queue_wait_ps,
-        r.main_mem.busy_ps,
-    ];
-    for c in &r.cores {
-        v.push(c.insts);
-        v.push(c.cycles);
-    }
-    v
-}
-
-#[test]
-fn cycle_backend_is_engine_independent() {
-    // The cycle-level device's MemPump/MemArrive events must behave
-    // identically under every engine: calendar (default), heap,
-    // adaptive calendar, and the domain-sharded merge.
-    let mut cfg =
-        SystemConfig::paper_cycle_mem(Design::Dca, OrgKind::DirectMapped).scaled(20_000, 80_000);
-    let calendar = System::new(cfg, &mix(3).benches).run();
-    assert_eq!(calendar.main_mem.backend, "cycle");
-    for engine in [
-        dca::EngineSel::Heap,
-        dca::EngineSel::CalendarAdaptive,
-        dca::EngineSel::Sharded { threads: 2 },
-    ] {
-        cfg.engine = engine;
-        let r = System::new(cfg, &mix(3).benches).run();
-        assert_eq!(
-            fingerprint(&calendar),
-            fingerprint(&r),
-            "cycle backend diverges under {:?}",
-            engine
         );
     }
 }
