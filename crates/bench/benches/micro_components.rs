@@ -302,7 +302,7 @@ fn micro(c: &mut Criterion) {
                 },
                 &geom,
             );
-            let mut pending: Vec<_> = first;
+            let mut pending = vec![first];
             let mut steps = 0;
             while let Some(spec) = pending.pop() {
                 let out = fsm.on_access_done(spec.role, &mut tags, &geom);

@@ -832,13 +832,15 @@ fn main() {
     let s = WarmCache::global().stats();
     eprintln!(
         "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused, {} disk-loaded, \
-         {} lock-waits ({} warm-ups avoided vs cold harness)",
+         {} lock-waits ({} warm-ups avoided vs cold harness), {} resident, {:.1} MiB",
         t0.elapsed().as_secs_f64(),
         s.builds,
         s.hits,
         s.disk_loads,
         s.lock_waits,
-        s.hits + s.disk_loads
+        s.hits + s.disk_loads,
+        s.resident,
+        s.resident_bytes as f64 / (1024.0 * 1024.0)
     );
     if WRITE_FAILED.load(Ordering::Relaxed) {
         std::process::exit(1);

@@ -23,7 +23,11 @@
 //! path that comes out *slower* than cold — fails the build. (The
 //! measured margin is ~1.6x; the hard assert is only `> 1.0` so wall-
 //! clock noise on shared CI runners cannot flake the gate. The JSON
-//! carries the real ratio for trajectory tracking.)
+//! carries the real ratio for trajectory tracking.) The same section
+//! records the captured warm state's `heap_bytes` next to the bytes of
+//! the dense tag array its compact tag snapshot replaced, and asserts
+//! the whole state is smaller than that array — exact for a fixed
+//! warm-up, so this memory gate cannot flake.
 //!
 //! It also runs the **shard smoke**: a tiny two-mix figure session
 //! once serially and once through the persistent worker pool
@@ -76,6 +80,10 @@
 //!   fastest rep is reported, standard practice for wall-clock benches).
 //! * `DCA_PERF_SWEEP_REPS` — repetitions per sweep flavour (default 2).
 //! * `DCA_PERF_OUT` — output path (default `BENCH_engine.json`).
+//!
+//! The numeric knobs must be positive integers (the rep counts at most
+//! `u32::MAX`); anything else warns, naming the value, and falls back
+//! to the default.
 
 use std::time::Instant;
 
@@ -173,6 +181,10 @@ struct SweepResult {
     cold_s: f64,
     /// Best warm-cached wall-clock (one checkpoint, shared).
     warm_s: f64,
+    /// Heap bytes of the captured warm state.
+    warm_heap_bytes: usize,
+    /// Heap bytes of the dense tag array its tag snapshot replaced.
+    dense_tag_bytes: usize,
 }
 
 impl SweepResult {
@@ -224,11 +236,14 @@ fn run_sweep(insts: u64, reps: u32) -> SweepResult {
 
     let mut warm_s = f64::INFINITY;
     let mut warm_reports: Option<Vec<SystemReport>> = None;
+    let (mut warm_heap_bytes, mut dense_tag_bytes) = (0, 0);
     for _ in 0..reps {
         let t0 = Instant::now();
         // One warm-up for the whole sweep; the capture is part of the
         // honest warm-flavour cost.
         let warm = System::capture_warm(cfgs[0], &m.benches);
+        warm_heap_bytes = warm.heap_bytes();
+        dense_tag_bytes = warm.tags().dense_bytes();
         let reports: Vec<SystemReport> = cfgs
             .iter()
             .map(|&cfg| System::from_warm(cfg, &m.benches, &warm).run())
@@ -254,7 +269,18 @@ fn run_sweep(insts: u64, reps: u32) -> SweepResult {
         variants: cfgs.len(),
         cold_s,
         warm_s,
+        warm_heap_bytes,
+        dense_tag_bytes,
     };
+    // The memory gate: the whole checkpoint, compact tag snapshot and
+    // all, must be smaller than the dense tag array alone. Deterministic
+    // for a fixed warm-up, so it cannot flake.
+    assert!(
+        sweep.warm_heap_bytes < sweep.dense_tag_bytes,
+        "warm state holds {} B, not less than the {} B dense tag array",
+        sweep.warm_heap_bytes,
+        sweep.dense_tag_bytes
+    );
     // Warm-cached strictly skips work (5 of 6 warm-ups here); if it is
     // not even break-even, checkpoint restore has regressed into
     // overhead and the build should say so.
@@ -755,17 +781,38 @@ fn run_queue_micro(reps: u32) -> Vec<QueueMicroRow> {
         .collect()
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parse a positive-integer knob's raw value: unset gives `default`; a
+/// value that is not an integer in `1..=max` is an `Err` carrying the
+/// warning that names it and the fallback.
+fn parse_knob(name: &str, raw: Option<&str>, default: u64, max: u64) -> Result<u64, String> {
+    let Some(v) = raw else {
+        return Ok(default);
+    };
+    match v.parse::<u64>() {
+        Ok(n) if (1..=max).contains(&n) => Ok(n),
+        Ok(_) => Err(format!(
+            "warning: {name}={v:?} must be an integer from 1 to {max}; \
+             using the default of {default}"
+        )),
+        Err(_) => Err(format!(
+            "warning: {name}={v:?} is not an integer; using the default of {default}"
+        )),
+    }
+}
+
+/// Read a positive-integer knob from the environment, warning and
+/// falling back to `default` on a bad value.
+fn env_knob(name: &str, default: u64, max: u64) -> u64 {
+    parse_knob(name, std::env::var(name).ok().as_deref(), default, max).unwrap_or_else(|warning| {
+        eprintln!("{warning}");
+        default
+    })
 }
 
 fn main() {
-    let insts = env_u64("DCA_PERF_INSTS", 200_000);
-    let reps = env_u64("DCA_PERF_REPS", 3) as u32;
-    let sweep_reps = env_u64("DCA_PERF_SWEEP_REPS", 2) as u32;
+    let insts = env_knob("DCA_PERF_INSTS", 200_000, u64::MAX);
+    let reps = env_knob("DCA_PERF_REPS", 3, u32::MAX.into()) as u32;
+    let sweep_reps = env_knob("DCA_PERF_SWEEP_REPS", 2, u32::MAX.into()) as u32;
     let out_path =
         std::env::var("DCA_PERF_OUT").unwrap_or_else(|_| "BENCH_engine.json".to_string());
 
@@ -812,11 +859,14 @@ fn main() {
     let sweep = run_sweep(insts, sweep_reps);
     println!(
         "\nsweep ({} design/remap variants, mix 1, direct-mapped): cold {:.2}s   \
-         warm-cached {:.2}s   speedup {:.3}x (reports bit-for-bit identical)",
+         warm-cached {:.2}s   speedup {:.3}x (reports bit-for-bit identical)   \
+         warm state {:.1} MiB vs dense tag array {:.1} MiB",
         sweep.variants,
         sweep.cold_s,
         sweep.warm_s,
-        sweep.speedup()
+        sweep.speedup(),
+        sweep.warm_heap_bytes as f64 / (1024.0 * 1024.0),
+        sweep.dense_tag_bytes as f64 / (1024.0 * 1024.0)
     );
 
     let shard = run_shard_smoke(sweep_reps);
@@ -897,7 +947,8 @@ fn main() {
          \"speedup_calendar_over_heap\": {vs_heap:.4}{reference},\n  \
          \"queue_micro\": {{\n{micro_json}\n  }},\n  \
          \"sweep\": {{\"variants\": {}, \"reps\": {sweep_reps}, \"cold_s\": {:.4}, \
-         \"warm_s\": {:.4}, \"speedup\": {:.4}}},\n  \
+         \"warm_s\": {:.4}, \"speedup\": {:.4}, \"warm_heap_bytes\": {}, \
+         \"dense_tag_bytes\": {}}},\n  \
          \"shard\": {{\"figure\": \"fig14\", \"jobs\": {}, \"host_cores\": {}, \
          \"serial_s\": {:.4}, \"pool_s\": {:.4}, \"fresh_speedup\": {:.4}, \
          \"session_figures\": \"fig14+fig12\", \"session_serial_s\": {:.4}, \
@@ -920,6 +971,8 @@ fn main() {
         sweep.cold_s,
         sweep.warm_s,
         sweep.speedup(),
+        sweep.warm_heap_bytes,
+        sweep.dense_tag_bytes,
         shard.jobs,
         shard.host_cores,
         shard.serial_s,
@@ -949,4 +1002,31 @@ fn main() {
     );
     std::fs::write(&out_path, json).expect("write BENCH_engine.json");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn knobs_accept_positive_integers_and_default_when_unset() {
+        assert_eq!(parse_knob("K", None, 3, 10), Ok(3));
+        assert_eq!(parse_knob("K", Some("7"), 3, 10), Ok(7));
+        assert_eq!(parse_knob("K", Some("10"), 3, 10), Ok(10));
+    }
+
+    #[test]
+    fn bad_knobs_warn_naming_the_value() {
+        for bad in ["garbage", "", "-1", "0", "11", "99999999999999999999999"] {
+            let warning = parse_knob("DCA_PERF_REPS", Some(bad), 3, 10).unwrap_err();
+            assert!(
+                warning.contains(&format!("DCA_PERF_REPS={bad:?}")),
+                "{bad:?}: {warning}"
+            );
+            assert!(warning.contains("default of 3"), "{bad:?}: {warning}");
+        }
+        // Past u32::MAX a rep count would truncate; it is refused instead.
+        let huge = (u64::from(u32::MAX) + 1).to_string();
+        assert!(parse_knob("DCA_PERF_REPS", Some(&huge), 3, u32::MAX.into()).is_err());
+    }
 }

@@ -8,8 +8,8 @@
 //! for different keys warm in parallel — exactly what
 //! [`run_parallel`](crate::run_parallel) sweeps need.
 //!
-//! The cache is bounded (insertion-order eviction; a warm state for the
-//! default organisation is tens of MB) and optionally persisted:
+//! The cache is bounded (insertion-order eviction; a paper-scale warm
+//! state holds about 8 MiB) and optionally persisted:
 //!
 //! * `DCA_WARM=0` — disable warm reuse entirely; every run warms cold.
 //! * `DCA_WARM_CAP=n` — keep at most `n` states in memory (default 48,
@@ -92,7 +92,8 @@ pub fn wait_ticks() -> u64 {
     WAIT_TICKS.load(Ordering::Relaxed)
 }
 
-/// Monotonic counters describing what the cache did so far.
+/// Counters describing what the cache did so far, plus what it holds
+/// now.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WarmCacheStats {
     /// Warm-ups actually executed.
@@ -105,6 +106,10 @@ pub struct WarmCacheStats {
     pub lock_waits: u64,
     /// Stale locks reclaimed because their owner pid was dead.
     pub lock_reclaims: u64,
+    /// States resident right now (built or loaded, not yet evicted).
+    pub resident: usize,
+    /// Heap bytes of the resident states ([`WarmState::heap_bytes`]).
+    pub resident_bytes: usize,
 }
 
 /// One per-key rendezvous point: same-key builders serialise on the
@@ -141,9 +146,13 @@ impl Default for WarmCache {
 /// the same order), so the cap must cover one organisation's full
 /// paper-scale pass — 30 mixes + 11 alone-IPC single-bench states = 41
 /// keys — or a cyclic scan against a smaller FIFO yields zero reuse on
-/// the second and later designs. 48 leaves headroom; at ~30 MB per
-/// state that bounds residency near 1.4 GB at `DCA_FULL=1` (tune with
-/// `DCA_WARM_CAP`; the default 8-mix scale stays under ~600 MB).
+/// the second and later designs. 48 leaves headroom. A state keeps its
+/// DRAM-cache tags as a compact snapshot, so a paper-scale state holds
+/// 7.5–8.7 MiB (measured on Table I mixes 1, 4, 10 and 13, both
+/// organisations; the dense tag array alone was 30 MiB); 48 of them
+/// bound residency near 420 MiB at `DCA_FULL=1` (tune with
+/// `DCA_WARM_CAP`; [`WarmCacheStats::resident_bytes`] reports the live
+/// figure).
 const DEFAULT_CAP: usize = 48;
 
 /// Default advisory-lock wait (ms): generous against a slow builder,
@@ -266,14 +275,24 @@ impl WarmCache {
         Self::global().reuse_enabled()
     }
 
-    /// Counters so far.
+    /// Counters so far, and the current residency.
     pub fn stats(&self) -> WarmCacheStats {
+        let (resident, resident_bytes) = {
+            let guard = self.slots.lock().unwrap();
+            guard
+                .0
+                .values()
+                .filter_map(|slot| slot.get())
+                .fold((0, 0), |(n, bytes), s| (n + 1, bytes + s.heap_bytes()))
+        };
         WarmCacheStats {
             builds: self.builds.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
             lock_reclaims: self.lock_reclaims.load(Ordering::Relaxed),
+            resident,
+            resident_bytes,
         }
     }
 

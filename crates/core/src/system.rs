@@ -447,7 +447,7 @@ impl System {
             benches,
             hier.l1,
             hier.l2,
-            hier.tags,
+            hier.tags.snapshot(),
             hier.predictor,
             hier.gens,
         )
@@ -480,7 +480,7 @@ impl System {
         let hier = HierState {
             l1: warm.l1.clone(),
             l2: warm.l2.clone(),
-            tags: warm.tags.clone(),
+            tags: TagArray::from_snapshot(&warm.tags),
             predictor: warm.predictor.clone(),
             gens: warm.gens.clone(),
         };
@@ -693,23 +693,21 @@ impl System {
             let Some(req) = self.uncore.pending_reqs[ch as usize].pop_front() else {
                 break;
             };
-            let (fsm, specs) = RequestFsm::start(req, &self.uncore.geom);
+            let (fsm, spec) = RequestFsm::start(req, &self.uncore.geom);
             self.uncore
                 .requests
                 .get_mut(SlabKey::from(req.id))
                 .expect("request slot live until admission")
                 .fsm = Some(fsm);
-            for spec in specs {
-                let id = self
-                    .uncore
-                    .accesses
-                    .insert(AccessMeta {
-                        request: req.id,
-                        role: spec.role,
-                    })
-                    .raw();
-                self.uncore.ctrls[ch as usize].enqueue(id, spec, req.kind, req.app, now);
-            }
+            let id = self
+                .uncore
+                .accesses
+                .insert(AccessMeta {
+                    request: req.id,
+                    role: spec.role,
+                })
+                .raw();
+            self.uncore.ctrls[ch as usize].enqueue(id, spec, req.kind, req.app, now);
         }
 
         // Issue as much as the design allows. The free-bank mask is
@@ -936,7 +934,7 @@ impl System {
         };
 
         // Follow-up accesses.
-        for spec in &out.enqueue {
+        for spec in out.enqueue {
             let id = self
                 .uncore
                 .accesses
@@ -945,7 +943,7 @@ impl System {
                     role: spec.role,
                 })
                 .raw();
-            self.uncore.ctrls[ch as usize].enqueue(id, *spec, req_kind, req_app, now);
+            self.uncore.ctrls[ch as usize].enqueue(id, spec, req_kind, req_app, now);
         }
 
         // Predictor training + hit statistics (demand reads only).

@@ -27,7 +27,8 @@
 //!   checkpoint by construction (paths and mtimes are never consulted),
 //! * the cache organisation (`OrgKind` discriminant + associativity)
 //!   and the replacement policy (warm-up drives the tag array through
-//!   [`TagArray::insert`], whose victim choice is policy-dependent),
+//!   [`TagArray::insert`](dca_dram_cache::TagArray::insert), whose
+//!   victim choice is policy-dependent),
 //! * the stacked-DRAM organisation (channels, ranks, banks, rows,
 //!   row bytes — these size the tag array via the frame count),
 //! * `warmup_ops` and the experiment `seed`.
@@ -42,16 +43,35 @@
 //! — a stale fingerprint silently reusing wrong state is the one bug
 //! this scheme must never allow, so when in doubt, include the field.
 //!
+//! ## In-memory representation
+//!
+//! A process keeps many warm states resident (`dca_bench::WarmCache`
+//! holds one per `(config, mix)` of a sweep), and the dense DRAM-cache
+//! tag array dominates each: 3.93M entries, 30 MiB at paper scale, of
+//! which the 400k-op warm-up fills 7.5–10%. A `WarmState`
+//! therefore holds the tags as a [`TagSnapshot`] — only the non-default
+//! entries, behind a sorted `u32` flat index.
+//! [`System::capture_warm`](crate::System::capture_warm) compacts the
+//! warmed array once; [`System::from_warm`](crate::System::from_warm)
+//! expands it into a fresh dense array per run. A paper-scale state then
+//! holds 7.5–8.7 MiB instead of about 34 MiB (Table I mixes 1, 4, 10 and
+//! 13, both organisations); [`WarmState::heap_bytes`] reports the exact
+//! figure.
+//!
 //! ## On-disk format
 //!
 //! [`WarmState::encode`] produces a standalone little-endian blob:
 //! an 8-byte magic (`"DCAWARM\0"`), a `u32` format version, the `u64`
 //! fingerprint, the component payloads (per-core [`SramCache`] L1s,
-//! the L2, the [`TagArray`], the [`MapI`] table, and one tagged
+//! the L2, the tag array, the [`MapI`] table, and one tagged
 //! [`OpStream`] cursor per core — a [`dca_cpu::TraceGen`] generator or
 //! a [`dca_cpu::TraceReader`] replay position) via each component's
 //! own `encode`/`decode` pair, and a trailing `u64` digest over
-//! everything before it.
+//! everything before it. The tag payload stays the dense
+//! `(tag, flags, state)` record stream a dense
+//! [`TagArray`](dca_dram_cache::TagArray) would write —
+//! [`TagSnapshot::encode`] fills the gaps with default records — so the
+//! blob does not depend on the in-memory representation.
 //! [`WarmState::decode`] validates the digest first, then magic,
 //! version, every component's invariants, and that the buffer is fully
 //! consumed — per-field range checks alone cannot catch a bit flip
@@ -70,7 +90,7 @@
 //! paper table); if warm-up ever does, the format already carries it.
 
 use dca_cpu::{tracefile, Benchmark, OpStream, Pattern};
-use dca_dram_cache::{MapI, OrgKind, TagArray};
+use dca_dram_cache::{MapI, OrgKind, TagSnapshot};
 use dca_mem_hier::SramCache;
 use dca_sim_core::{digest64, ByteReader, ByteWriter, CodecError};
 
@@ -112,7 +132,7 @@ pub struct WarmState {
     fingerprint: u64,
     pub(crate) l1: Vec<SramCache>,
     pub(crate) l2: SramCache,
-    pub(crate) tags: TagArray,
+    pub(crate) tags: TagSnapshot,
     pub(crate) predictor: MapI,
     pub(crate) gens: Vec<OpStream>,
 }
@@ -135,7 +155,7 @@ impl WarmState {
         benches: &[Benchmark],
         l1: Vec<SramCache>,
         l2: SramCache,
-        tags: TagArray,
+        tags: TagSnapshot,
         predictor: MapI,
         gens: Vec<OpStream>,
     ) -> Self {
@@ -159,6 +179,23 @@ impl WarmState {
     /// Number of cores the checkpoint was captured for.
     pub fn cores(&self) -> usize {
         self.gens.len()
+    }
+
+    /// The DRAM-cache tag checkpoint.
+    pub fn tags(&self) -> &TagSnapshot {
+        &self.tags
+    }
+
+    /// Heap bytes this checkpoint holds: every component's arrays plus
+    /// the per-core vectors themselves.
+    pub fn heap_bytes(&self) -> usize {
+        self.l1.capacity() * std::mem::size_of::<SramCache>()
+            + self.l1.iter().map(SramCache::heap_bytes).sum::<usize>()
+            + self.l2.heap_bytes()
+            + self.tags.heap_bytes()
+            + self.predictor.heap_bytes()
+            + self.gens.capacity() * std::mem::size_of::<OpStream>()
+            + self.gens.iter().map(OpStream::heap_bytes).sum::<usize>()
     }
 
     /// Fingerprint of the warm-up a `(cfg, benches)` pair implies. See
@@ -235,7 +272,9 @@ impl WarmState {
 
     /// Serialise to the standalone on-disk blob (see module docs).
     pub fn encode(&self) -> Vec<u8> {
-        // Dominated by the tag array (~6 B/entry); size the buffer once.
+        // Dominated by the dense tag records (6 B per entry, stored or
+        // not: 22.5 MiB of the 27.4–27.7 MiB paper-scale blob); size the
+        // buffer once.
         let approx = 64
             + self.tags.sets() as usize * self.tags.ways() as usize * 6
             + (self.l1.len() + 16) * 32 * 1024;
@@ -295,7 +334,7 @@ impl WarmState {
             l1.push(SramCache::decode(&mut r)?);
         }
         let l2 = SramCache::decode(&mut r)?;
-        let tags = TagArray::decode(&mut r)?;
+        let tags = TagSnapshot::decode(&mut r)?;
         let predictor = MapI::decode(&mut r)?;
         let n_gens = r.u32()? as usize;
         if n_gens != n_l1 {

@@ -66,6 +66,15 @@ impl OpStream {
         }
     }
 
+    /// Heap bytes this stream owns. A replay cursor owns none: the
+    /// trace's records are shared process-wide by the registry.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            OpStream::Gen(g) => g.heap_bytes(),
+            OpStream::Replay(_) => 0,
+        }
+    }
+
     /// Capture the stream mid-flight as an owned checkpoint.
     pub fn snapshot(&self) -> OpStream {
         self.clone()

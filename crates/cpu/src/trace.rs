@@ -125,6 +125,12 @@ impl TraceGen {
         &self.profile
     }
 
+    /// Heap bytes the cursor and reuse-history vectors hold.
+    pub fn heap_bytes(&self) -> usize {
+        (self.streams.capacity() + self.chains.capacity()) * std::mem::size_of::<u64>()
+            + self.history.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Capture the generator mid-stream — RNG state, stream/chase
     /// cursors, reuse history and op count — as an owned checkpoint.
     /// Restoring resumes the op stream at exactly the next op.

@@ -39,7 +39,7 @@
 //!   XOR remap.
 //! * [`tags`] — the functional tag/dirty/replacement array with a
 //!   pluggable [`tags::ReplacementPolicy`] (SRRIP default, plus the
-//!   LRU family).
+//!   LRU family), checkpointed as a compact [`tags::TagSnapshot`].
 //! * [`request`] — cache-level request types (read / writeback / refill).
 //! * [`translate`] — the per-request state machines that expand a cache
 //!   request into its DRAM accesses *as dependencies resolve* (a tag read
@@ -61,5 +61,5 @@ pub use geometry::{BlockPlace, CacheGeometry, OrgKind};
 pub use predictor::MapI;
 pub use request::{CacheReqKind, CacheRequest, RequestId};
 pub use tag_cache::{TagCache, TagCacheStats};
-pub use tags::{InsertOutcome, ReplacementPolicy, TagArray};
-pub use translate::{AccessRole, AccessSpec, FsmOutput, RequestFsm};
+pub use tags::{InsertOutcome, ReplacementPolicy, TagArray, TagSnapshot};
+pub use translate::{AccessList, AccessRole, AccessSpec, FsmOutput, RequestFsm};

@@ -93,6 +93,11 @@ impl MapI {
         self.predictions
     }
 
+    /// Heap bytes the counter table holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.table.capacity()
+    }
+
     /// Capture the counter table and accuracy bookkeeping as an owned
     /// checkpoint.
     pub fn snapshot(&self) -> MapI {

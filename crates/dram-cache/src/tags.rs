@@ -20,6 +20,20 @@
 //!
 //! For the direct-mapped organisation the set has one way and every
 //! policy degenerates to the same trivial replacement.
+//!
+//! ## Checkpoints
+//!
+//! The live array is dense (`sets × ways` entries of 8 bytes — 30 MiB
+//! at paper scale), but the functional warm-up fills only 7.5–10% of
+//! it. A [`TagSnapshot`] therefore stores just the entries that
+//! differ from the all-invalid default, as a sorted `u32` flat index
+//! plus the entry. [`TagArray::snapshot`] compacts,
+//! [`TagArray::from_snapshot`] and [`TagArray::restore`] expand (a
+//! default array, then a scatter of the stored entries). Both types
+//! encode to the same dense `(tag, flags, state)` record stream, so a
+//! checkpoint blob does not depend on which one wrote it, and
+//! [`TagSnapshot::decode`] reads that stream without allocating the
+//! dense array.
 
 use dca_sim_core::{prefetch_read, ByteReader, ByteWriter, CodecError};
 
@@ -88,7 +102,7 @@ impl ReplacementPolicy {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct TagEntry {
     tag: u32,
     valid: bool,
@@ -99,7 +113,7 @@ struct TagEntry {
 }
 
 /// The functional tag array: `sets × ways` entries, flat storage.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TagArray {
     entries: Vec<TagEntry>,
     sets: u64,
@@ -117,6 +131,11 @@ impl TagArray {
     pub fn with_policy(sets: u64, ways: u16, policy: ReplacementPolicy) -> Self {
         assert!(ways >= 1);
         assert!(sets >= 1);
+        assert!(
+            sets.checked_mul(ways as u64)
+                .is_some_and(|n| n <= MAX_ENTRIES),
+            "tag array too large for a u32-indexed snapshot"
+        );
         TagArray {
             entries: vec![TagEntry::default(); (sets * ways as u64) as usize],
             sets,
@@ -333,15 +352,25 @@ impl TagArray {
     }
 
     /// Invalidate (set, way); returns `(tag, was_dirty)` if it was valid.
+    /// The entry keeps its tag, dirty bit and state. Under the LRU family
+    /// the ways older than it move up one stack position, so the valid
+    /// ways' positions stay a permutation of `0..valid` (and below `ways`
+    /// after later fills).
     pub fn invalidate(&mut self, set: u64, way: u16) -> Option<(u32, bool)> {
         let base = self.base(set);
-        let e = &mut self.entries[base + way as usize];
-        if e.valid {
-            e.valid = false;
-            Some((e.tag, e.dirty))
-        } else {
-            None
+        let e = self.entries[base + way as usize];
+        if !e.valid {
+            return None;
         }
+        self.entries[base + way as usize].valid = false;
+        if self.policy != ReplacementPolicy::Srrip {
+            for o in &mut self.entries[base..base + self.ways as usize] {
+                if o.valid && o.state > e.state {
+                    o.state -= 1;
+                }
+            }
+        }
+        Some((e.tag, e.dirty))
     }
 
     /// Count of valid entries (test/diagnostic helper; O(sets×ways)).
@@ -349,17 +378,35 @@ impl TagArray {
         self.entries.iter().filter(|e| e.valid).count() as u64
     }
 
-    /// Capture the complete tag/dirty/replacement state as an owned
-    /// checkpoint (one flat clone).
-    pub fn snapshot(&self) -> TagArray {
-        self.clone()
+    /// Capture the complete tag/dirty/replacement state as a compact
+    /// [`TagSnapshot`]: only the entries that differ from the all-invalid
+    /// default are stored.
+    pub fn snapshot(&self) -> TagSnapshot {
+        let mut snap = TagSnapshot::empty(self.sets, self.ways, self.policy);
+        for (i, e) in self.entries.iter().enumerate() {
+            if *e != TagEntry::default() {
+                snap.index.push(i as u32);
+                snap.entries.push(*e);
+            }
+        }
+        snap.index.shrink_to_fit();
+        snap.entries.shrink_to_fit();
+        snap
+    }
+
+    /// A dense array rebuilt from `snap`: a fresh all-invalid array,
+    /// then a scatter of the stored entries.
+    pub fn from_snapshot(snap: &TagSnapshot) -> TagArray {
+        let mut t = TagArray::with_policy(snap.sets, snap.ways, snap.policy);
+        t.scatter(snap);
+        t
     }
 
     /// Overwrite this array's state with a previously captured snapshot.
     ///
     /// # Panics
     /// Panics on a geometry or policy mismatch.
-    pub fn restore(&mut self, snap: &TagArray) {
+    pub fn restore(&mut self, snap: &TagSnapshot) {
         assert_eq!(
             (self.sets, self.ways),
             (snap.sets, snap.ways),
@@ -370,25 +417,132 @@ impl TagArray {
             self.ways
         );
         assert_eq!(self.policy, snap.policy, "snapshot policy mismatch");
-        *self = snap.clone();
+        self.entries.fill(TagEntry::default());
+        self.scatter(snap);
+    }
+
+    /// Write `snap`'s stored entries over this (all-default) array.
+    fn scatter(&mut self, snap: &TagSnapshot) {
+        for (&i, &e) in snap.index.iter().zip(&snap.entries) {
+            self.entries[i as usize] = e;
+        }
     }
 
     /// Serialise the full state into `w` (checkpoint-file payload).
     /// Layout: sets, ways, policy code, then one
     /// `(tag, valid|dirty flags, state)` record per entry.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.sets);
-        w.put_u16(self.ways);
-        w.put_u8(self.policy.code());
+        put_header(w, self.sets, self.ways, self.policy);
         for e in &self.entries {
-            w.put_u32(e.tag);
-            w.put_u8(e.valid as u8 | (e.dirty as u8) << 1);
-            w.put_u8(e.state);
+            put_record(w, e);
+        }
+    }
+}
+
+/// Entries a [`TagSnapshot`] can address: its flat index is a `u32`.
+const MAX_ENTRIES: u64 = 1 << 32;
+
+/// Bytes per `(tag, flags, state)` record in the tag codec.
+const RECORD_BYTES: usize = 6;
+
+fn put_header(w: &mut ByteWriter, sets: u64, ways: u16, policy: ReplacementPolicy) {
+    w.put_u64(sets);
+    w.put_u16(ways);
+    w.put_u8(policy.code());
+}
+
+fn put_record(w: &mut ByteWriter, e: &TagEntry) {
+    w.put_u32(e.tag);
+    w.put_u8(e.valid as u8 | (e.dirty as u8) << 1);
+    w.put_u8(e.state);
+}
+
+/// A compact checkpoint of a [`TagArray`].
+///
+/// After the functional warm-up only about a tenth of the paper-scale
+/// array is filled, so the snapshot keeps the geometry and policy plus
+/// only the entries that differ from the all-invalid default: a sorted
+/// `u32` flat index (`set * ways + way`) and the entry itself, 12 bytes
+/// per stored entry instead of 8 bytes per entry of the whole array.
+/// Every non-default entry is kept, not only the valid ones, so an
+/// invalidated entry (stale tag, dirty bit or replacement state) comes
+/// back exactly. [`TagArray::snapshot`] builds one and
+/// [`TagArray::from_snapshot`] / [`TagArray::restore`] expand it.
+///
+/// The codec streams the same dense layout as [`TagArray::encode`] —
+/// default records fill the gaps — so a snapshot and the array it was
+/// taken from encode to identical bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TagSnapshot {
+    sets: u64,
+    ways: u16,
+    policy: ReplacementPolicy,
+    /// Flat indices of the stored entries, strictly ascending.
+    index: Vec<u32>,
+    /// The stored entries, parallel to `index`.
+    entries: Vec<TagEntry>,
+}
+
+impl TagSnapshot {
+    fn empty(sets: u64, ways: u16, policy: ReplacementPolicy) -> Self {
+        TagSnapshot {
+            sets,
+            ways,
+            policy,
+            index: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
-    /// Rebuild an array from a [`TagArray::encode`] payload.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<TagArray, CodecError> {
+    /// Number of sets of the captured array.
+    pub fn sets(&self) -> u64 {
+        self.sets
+    }
+
+    /// Associativity of the captured array.
+    pub fn ways(&self) -> u16 {
+        self.ways
+    }
+
+    /// Replacement policy of the captured array.
+    pub fn policy(&self) -> ReplacementPolicy {
+        self.policy
+    }
+
+    /// Number of stored (non-default) entries.
+    pub fn stored(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Heap bytes this snapshot holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<u32>()
+            + self.entries.capacity() * std::mem::size_of::<TagEntry>()
+    }
+
+    /// Heap bytes the dense [`TagArray`] it expands to holds.
+    pub fn dense_bytes(&self) -> usize {
+        (self.sets * self.ways as u64) as usize * std::mem::size_of::<TagEntry>()
+    }
+
+    /// Serialise in the [`TagArray::encode`] layout, writing a default
+    /// record for every entry the snapshot does not store.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        put_header(w, self.sets, self.ways, self.policy);
+        let mut next = 0usize;
+        for (&i, e) in self.index.iter().zip(&self.entries) {
+            w.put_zeros((i as usize - next) * RECORD_BYTES);
+            put_record(w, e);
+            next = i as usize + 1;
+        }
+        let n = (self.sets * self.ways as u64) as usize;
+        w.put_zeros((n - next) * RECORD_BYTES);
+    }
+
+    /// Rebuild a snapshot from a [`TagArray::encode`] (or
+    /// [`TagSnapshot::encode`]) payload, keeping only the non-default
+    /// records. The dense array is never allocated.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<TagSnapshot, CodecError> {
         let sets = r.u64()?;
         let ways = r.u16()?;
         if sets == 0 || ways == 0 {
@@ -398,38 +552,42 @@ impl TagArray {
             .ok_or(CodecError::new("unknown replacement policy code"))?;
         let n = sets
             .checked_mul(ways as u64)
-            .ok_or(CodecError::new("tag array entry count overflow"))? as usize;
-        // 6 bytes per entry follow; reject implausible counts from a
-        // corrupt header *before* allocating for them.
-        if r.remaining() < n.saturating_mul(6) {
+            .filter(|&n| n <= MAX_ENTRIES)
+            .ok_or(CodecError::new(
+                "tag array entry count exceeds the snapshot index",
+            ))? as usize;
+        // Reject implausible counts from a corrupt header before
+        // touching the records.
+        if r.remaining() < n * RECORD_BYTES {
             return Err(CodecError::new("tag array entry count exceeds buffer"));
         }
+        let records = r.bytes(n * RECORD_BYTES)?;
         // Per-policy bound on the per-way state byte.
         let state_ok = |s: u8| match policy {
             ReplacementPolicy::Srrip => s <= RRPV_MAX,
             _ => (s as u16) < ways,
         };
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u32()?;
-            let flags = r.u8()?;
-            let state = r.u8()?;
+        let mut snap = TagSnapshot::empty(sets, ways, policy);
+        for (i, rec) in records.chunks_exact(RECORD_BYTES).enumerate() {
+            if rec == [0; RECORD_BYTES] {
+                continue;
+            }
+            let tag = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
+            let (flags, state) = (rec[4], rec[5]);
             if flags > 0b11 || !state_ok(state) {
                 return Err(CodecError::new("invalid tag entry state"));
             }
-            entries.push(TagEntry {
+            snap.index.push(i as u32);
+            snap.entries.push(TagEntry {
                 tag,
                 valid: flags & 1 != 0,
                 dirty: flags & 2 != 0,
                 state,
             });
         }
-        Ok(TagArray {
-            entries,
-            sets,
-            ways,
-            policy,
-        })
+        snap.index.shrink_to_fit();
+        snap.entries.shrink_to_fit();
+        Ok(snap)
     }
 }
 
@@ -576,6 +734,24 @@ mod tests {
     }
 
     #[test]
+    fn lru_invalidate_keeps_stack_positions_in_range() {
+        // Invalidate the MRU way, refill it: without closing the gap the
+        // oldest way would age to position `ways` and the codec would
+        // refuse the array.
+        let mut t = TagArray::with_policy(1, 2, ReplacementPolicy::Lru);
+        t.insert(0, 1, false);
+        let b = t.insert(0, 2, false);
+        t.invalidate(0, b.way);
+        t.insert(0, 3, false);
+        let mut w = dca_sim_core::ByteWriter::new();
+        t.encode(&mut w);
+        let buf = w.into_vec();
+        let snap = TagSnapshot::decode(&mut dca_sim_core::ByteReader::new(&buf)).expect("decode");
+        assert_eq!(TagArray::from_snapshot(&snap), t);
+        assert_eq!(t.insert(0, 4, false).evicted, Some((1, false)));
+    }
+
+    #[test]
     fn direct_mapped_single_way() {
         for policy in ReplacementPolicy::ALL {
             let mut t = TagArray::with_policy(8, 1, policy);
@@ -610,8 +786,10 @@ mod tests {
             snap.encode(&mut w);
             let buf = w.into_vec();
             let mut r = dca_sim_core::ByteReader::new(&buf);
-            let mut decoded = TagArray::decode(&mut r).expect("decode");
+            let decoded_snap = TagSnapshot::decode(&mut r).expect("decode");
             r.finish().expect("fully consumed");
+            assert_eq!(decoded_snap, snap);
+            let mut decoded = TagArray::from_snapshot(&decoded_snap);
             assert_eq!(decoded.policy(), policy);
 
             // Diverge, restore, then both must behave identically.
@@ -619,6 +797,7 @@ mod tests {
                 t.insert(s, 999, true);
             }
             t.restore(&snap);
+            assert_eq!(t, decoded);
             for _ in 0..600 {
                 x = x.wrapping_mul(48271) % 0x7FFF_FFFF;
                 let (set, tag) = (x % 64, (x >> 8) as u32 & 0xFF);
@@ -630,6 +809,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn snapshot_stores_only_non_default_entries() {
+        let mut t = TagArray::new(1024, 4);
+        assert_eq!(t.snapshot().stored(), 0);
+        for set in 0..10 {
+            t.insert(set, 7, false);
+        }
+        // An invalidated entry keeps its tag and state: still stored.
+        t.invalidate(3, 0);
+        let snap = t.snapshot();
+        assert_eq!(snap.stored(), 10);
+        assert_eq!(t.valid_count(), 9);
+        assert!(snap.heap_bytes() < snap.dense_bytes());
+        assert_eq!(TagArray::from_snapshot(&snap), t);
+        // Snapshot and dense array encode to the same bytes.
+        let (mut a, mut b) = (
+            dca_sim_core::ByteWriter::new(),
+            dca_sim_core::ByteWriter::new(),
+        );
+        t.encode(&mut a);
+        snap.encode(&mut b);
+        assert_eq!(a.into_vec(), b.into_vec());
     }
 
     #[test]
@@ -646,7 +849,34 @@ mod tests {
                 _ => 1, // stack position must stay below ways (= 1)
             };
             let mut r = dca_sim_core::ByteReader::new(&buf);
-            assert!(TagArray::decode(&mut r).is_err(), "{policy:?}");
+            assert!(TagSnapshot::decode(&mut r).is_err(), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_bad_flags_and_oversized_counts() {
+        let t = TagArray::new(2, 1);
+        let mut w = dca_sim_core::ByteWriter::new();
+        t.encode(&mut w);
+        let mut buf = w.into_vec();
+        buf[11 + 4] = 0b100; // flags byte of the first record
+        let mut r = dca_sim_core::ByteReader::new(&buf);
+        let err = TagSnapshot::decode(&mut r).unwrap_err();
+        assert!(err.to_string().contains("entry state"));
+
+        // A header promising more entries than a u32 index can address
+        // (or than the buffer holds) is refused before any record.
+        for (sets, ways) in [(1u64 << 32, 2u16), (3, 1)] {
+            let mut w = dca_sim_core::ByteWriter::new();
+            put_header(&mut w, sets, ways, ReplacementPolicy::Srrip);
+            w.put_zeros(2 * RECORD_BYTES);
+            let buf = w.into_vec();
+            let mut r = dca_sim_core::ByteReader::new(&buf);
+            let err = TagSnapshot::decode(&mut r).unwrap_err();
+            assert!(
+                err.to_string().contains("entry count"),
+                "{sets}x{ways}: {err}"
+            );
         }
     }
 
@@ -658,7 +888,7 @@ mod tests {
         let mut buf = w.into_vec();
         buf[10] = 0xEE; // the policy byte follows sets (8) + ways (2)
         let mut r = dca_sim_core::ByteReader::new(&buf);
-        let err = TagArray::decode(&mut r).unwrap_err();
+        let err = TagSnapshot::decode(&mut r).unwrap_err();
         assert!(err.to_string().contains("replacement policy"));
     }
 

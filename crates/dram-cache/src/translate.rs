@@ -20,7 +20,7 @@
 //! demand-read request is a priority read (PR); every read access of a
 //! writeback/refill is a low-priority read (LR) — §IV-B.
 
-use dca_dram::AccessKind;
+use dca_dram::{AccessKind, BurstLen, DramAccess};
 use dca_sched::ReadClass;
 
 use crate::geometry::{BlockPlace, CacheGeometry, OrgKind};
@@ -57,11 +57,84 @@ pub struct AccessSpec {
     pub class: ReadClass,
 }
 
+/// Most accesses one FSM step enqueues: a data access plus its tag
+/// write (set-associative hit, or the write half of a writeback).
+pub const MAX_STEP_ACCESSES: usize = 2;
+
+/// The accesses one FSM step enqueues, stored inline (a step completes
+/// on every DRAM-cache access, so it must not allocate). Derefs to a
+/// slice of the pushed accesses.
+#[derive(Clone, Copy)]
+pub struct AccessList {
+    len: u8,
+    items: [AccessSpec; MAX_STEP_ACCESSES],
+}
+
+impl AccessList {
+    /// Filler for the unused slots; never read.
+    const VACANT: AccessSpec = AccessSpec {
+        access: DramAccess {
+            bank: 0,
+            row: 0,
+            kind: AccessKind::Read,
+            burst: BurstLen::Block64,
+        },
+        role: AccessRole::TagRead,
+        class: ReadClass::Priority,
+    };
+
+    /// Append `spec`.
+    ///
+    /// # Panics
+    /// Panics past [`MAX_STEP_ACCESSES`] accesses.
+    pub fn push(&mut self, spec: AccessSpec) {
+        let n = self.len as usize;
+        assert!(
+            n < MAX_STEP_ACCESSES,
+            "an FSM step enqueues at most {MAX_STEP_ACCESSES} accesses"
+        );
+        self.items[n] = spec;
+        self.len += 1;
+    }
+}
+
+impl Default for AccessList {
+    fn default() -> Self {
+        AccessList {
+            len: 0,
+            items: [Self::VACANT; MAX_STEP_ACCESSES],
+        }
+    }
+}
+
+impl std::ops::Deref for AccessList {
+    type Target = [AccessSpec];
+
+    fn deref(&self) -> &[AccessSpec] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for AccessList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for AccessList {
+    type Item = AccessSpec;
+    type IntoIter = std::iter::Take<std::array::IntoIter<AccessSpec, MAX_STEP_ACCESSES>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len as usize)
+    }
+}
+
 /// Everything a completed FSM step tells the controller to do.
 #[derive(Clone, Debug, Default)]
 pub struct FsmOutput {
     /// Accesses to enqueue now.
-    pub enqueue: Vec<AccessSpec>,
+    pub enqueue: AccessList,
     /// Read data is available — answer the demand read.
     pub respond_hit: bool,
     /// The read missed — the requester must fetch from main memory.
@@ -100,9 +173,9 @@ pub struct RequestFsm {
 }
 
 impl RequestFsm {
-    /// Start a request: returns the FSM and the initial accesses to
+    /// Start a request: returns the FSM and the initial access to
     /// enqueue (always exactly the tag/TAD read).
-    pub fn start(req: CacheRequest, geom: &CacheGeometry) -> (RequestFsm, Vec<AccessSpec>) {
+    pub fn start(req: CacheRequest, geom: &CacheGeometry) -> (RequestFsm, AccessSpec) {
         let place = geom.place(req.block);
         let class = if req.kind.is_demand_read() {
             ReadClass::Priority
@@ -131,7 +204,7 @@ impl RequestFsm {
                 deferred_writes: false,
                 pending_victim: None,
             },
-            vec![first],
+            first,
         )
     }
 
@@ -379,12 +452,12 @@ mod tests {
 
     fn drive_to_done(
         fsm: &mut RequestFsm,
-        first: Vec<AccessSpec>,
+        first: AccessSpec,
         tags: &mut TagArray,
         geom: &CacheGeometry,
     ) -> (Vec<AccessRole>, Vec<FsmOutput>) {
         // Complete accesses FIFO, collecting roles and outputs.
-        let mut pending: Vec<AccessSpec> = first;
+        let mut pending: Vec<AccessSpec> = vec![first];
         let mut roles = Vec::new();
         let mut outs = Vec::new();
         let mut guard = 0;
@@ -406,9 +479,8 @@ mod tests {
         let geom = sa_geom();
         let mut tags = TagArray::new(geom.num_sets(), 15);
         let (mut fsm, first) = RequestFsm::start(read_req(100), &geom);
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].role, AccessRole::TagRead);
-        assert_eq!(first[0].class, ReadClass::Priority);
+        assert_eq!(first.role, AccessRole::TagRead);
+        assert_eq!(first.class, ReadClass::Priority);
         let (roles, outs) = drive_to_done(&mut fsm, first, &mut tags, &geom);
         assert_eq!(roles, vec![AccessRole::TagRead]);
         assert!(outs[0].respond_miss);
@@ -444,7 +516,7 @@ mod tests {
         let p = geom.place(100);
         tags.insert(p.set, p.tag, false);
         let (mut fsm, first) = RequestFsm::start(wb_req(100), &geom);
-        assert_eq!(first[0].class, ReadClass::LowPriority, "RTw is an LR");
+        assert_eq!(first.class, ReadClass::LowPriority, "RTw is an LR");
         let (roles, outs) = drive_to_done(&mut fsm, first, &mut tags, &geom);
         assert_eq!(
             roles,
@@ -520,7 +592,7 @@ mod tests {
         let p = geom.place(100);
         tags.insert(p.set, p.tag, false);
         let (mut fsm, first) = RequestFsm::start(read_req(100), &geom);
-        assert_eq!(first[0].role, AccessRole::TadRead);
+        assert_eq!(first.role, AccessRole::TadRead);
         let (roles, outs) = drive_to_done(&mut fsm, first, &mut tags, &geom);
         assert_eq!(roles, vec![AccessRole::TadRead]);
         assert!(outs[0].respond_hit);
@@ -566,14 +638,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 2 accesses")]
+    fn access_list_rejects_a_third_access() {
+        let (_, spec) = RequestFsm::start(read_req(7), &sa_geom());
+        let mut list = AccessList::default();
+        for _ in 0..=MAX_STEP_ACCESSES {
+            list.push(spec);
+        }
+    }
+
+    #[test]
     fn pr_lr_classification_follows_request_kind() {
         let geom = sa_geom();
         // Demand read → PR tag read; writeback → LR tag read (§IV-B).
         let (_, r) = RequestFsm::start(read_req(7), &geom);
-        assert_eq!(r[0].class, ReadClass::Priority);
+        assert_eq!(r.class, ReadClass::Priority);
         let (_, w) = RequestFsm::start(wb_req(7), &geom);
-        assert_eq!(w[0].class, ReadClass::LowPriority);
+        assert_eq!(w.class, ReadClass::LowPriority);
         let (_, f) = RequestFsm::start(refill_req(7), &geom);
-        assert_eq!(f[0].class, ReadClass::LowPriority);
+        assert_eq!(f.class, ReadClass::LowPriority);
     }
 }

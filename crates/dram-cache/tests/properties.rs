@@ -4,7 +4,9 @@
 use dca_dram::MappingScheme;
 use dca_dram_cache::{
     CacheGeometry, CacheReqKind, CacheRequest, OrgKind, ReplacementPolicy, RequestFsm, TagArray,
+    TagSnapshot,
 };
+use dca_sim_core::{ByteReader, ByteWriter};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -84,7 +86,7 @@ proptest! {
             pc: 0,
         };
         let (mut fsm, first) = RequestFsm::start(req, &geom);
-        let mut pending = first;
+        let mut pending = vec![first];
         let mut total = 0usize;
         let mut guard = 0;
         while !pending.is_empty() {
@@ -112,7 +114,7 @@ proptest! {
         let mut tags = TagArray::new(geom.num_sets(), 1);
         let wb = CacheRequest { id: 1, kind: CacheReqKind::Writeback, block, app: 0, pc: 0 };
         let (mut fsm, first) = RequestFsm::start(wb, &geom);
-        let mut pending = first;
+        let mut pending = vec![first];
         while !pending.is_empty() {
             let spec = pending.remove(0);
             let out = fsm.on_access_done(spec.role, &mut tags, &geom);
@@ -120,13 +122,13 @@ proptest! {
         }
         let rd = CacheRequest { id: 2, kind: CacheReqKind::Read, block, app: 0, pc: 0 };
         let (mut fsm2, first2) = RequestFsm::start(rd, &geom);
-        let out = fsm2.on_access_done(first2[0].role, &mut tags, &geom);
+        let out = fsm2.on_access_done(first2.role, &mut tags, &geom);
         prop_assert!(out.respond_hit, "block written back must be readable");
         // A conflicting block evicts it (direct-mapped).
         let other = block + geom.num_sets();
         let rf = CacheRequest { id: 3, kind: CacheReqKind::Refill, block: other, app: 0, pc: 0 };
         let (mut fsm3, first3) = RequestFsm::start(rf, &geom);
-        let mut pending = first3;
+        let mut pending = vec![first3];
         while !pending.is_empty() {
             let spec = pending.remove(0);
             let out = fsm3.on_access_done(spec.role, &mut tags, &geom);
@@ -134,7 +136,7 @@ proptest! {
         }
         let rd2 = CacheRequest { id: 4, kind: CacheReqKind::Read, block, app: 0, pc: 0 };
         let (mut fsm4, first4) = RequestFsm::start(rd2, &geom);
-        let out = fsm4.on_access_done(first4[0].role, &mut tags, &geom);
+        let out = fsm4.on_access_done(first4.role, &mut tags, &geom);
         prop_assert!(out.respond_miss, "evicted block must miss");
     }
 }
@@ -282,6 +284,65 @@ proptest! {
                         "{policy:?}: round-trip must restore valid_count"
                     );
                 }
+            }
+        }
+    }
+}
+
+// Snapshot exactness: the compact checkpoint keeps only non-default
+// entries, so it must still reproduce the dense array entry for entry —
+// invalidated entries included — and write the dense codec's bytes.
+proptest! {
+    #[test]
+    fn tag_snapshot_is_exact_under_every_policy_and_geometry(
+        ops in prop::collection::vec((0u8..4, 0u64..64, 0u32..24, any::<bool>()), 1..200)
+    ) {
+        // Direct-mapped and a small set-associative shape.
+        for (sets, ways) in [(64u64, 1u16), (8, 4)] {
+            for policy in ReplacementPolicy::ALL {
+                let mut t = TagArray::with_policy(sets, ways, policy);
+                for &(op, set, tag, flag) in &ops {
+                    let set = set % sets;
+                    let way = (tag % ways as u32) as u16;
+                    match (op, t.lookup(set, tag)) {
+                        (0, None) => {
+                            t.insert(set, tag, flag);
+                        }
+                        (0 | 1, Some(w)) => t.touch(set, w),
+                        (1, None) => {}
+                        (2, _) => t.set_dirty(set, way, flag),
+                        _ => {
+                            t.invalidate(set, way);
+                        }
+                    }
+                }
+                // Always leave one invalid-but-non-default entry behind.
+                let out = t.insert(0, 77, true);
+                t.invalidate(0, out.way);
+
+                let snap = t.snapshot();
+                prop_assert!(
+                    snap.stored() > t.valid_count() as usize,
+                    "{policy:?} {sets}x{ways}: the invalidated entry was dropped"
+                );
+                prop_assert_eq!(&TagArray::from_snapshot(&snap), &t);
+                let mut wrecked = TagArray::with_policy(sets, ways, policy);
+                for s in 0..sets {
+                    wrecked.insert(s, 999, true);
+                }
+                wrecked.restore(&snap);
+                prop_assert_eq!(&wrecked, &t);
+                prop_assert!(wrecked.is_dirty(0, out.way) && wrecked.lookup(0, 77).is_none());
+
+                let (mut dense, mut compact) = (ByteWriter::new(), ByteWriter::new());
+                t.encode(&mut dense);
+                snap.encode(&mut compact);
+                let bytes = dense.into_vec();
+                prop_assert_eq!(&compact.into_vec(), &bytes);
+                let mut r = ByteReader::new(&bytes);
+                let decoded = TagSnapshot::decode(&mut r);
+                prop_assert!(r.finish().is_ok());
+                prop_assert_eq!(decoded.as_ref().ok(), Some(&snap));
             }
         }
     }

@@ -120,6 +120,12 @@ impl SramCache {
         &self.stats
     }
 
+    /// Heap bytes the tag, stamp and dirty arrays hold.
+    pub fn heap_bytes(&self) -> usize {
+        (self.tags.capacity() + self.stamps.capacity() + self.dirty.capacity())
+            * std::mem::size_of::<u64>()
+    }
+
     #[inline]
     fn set_of(&self, block: u64) -> usize {
         (block & (self.sets - 1)) as usize

@@ -108,6 +108,11 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Write `n` zero bytes (runs of default records, in one resize).
+    pub fn put_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     /// Write a `u64` slice as `len (u64)` followed by the items.
     pub fn put_u64_slice(&mut self, items: &[u64]) {
         self.put_u64(items.len() as u64);

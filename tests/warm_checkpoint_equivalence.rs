@@ -8,7 +8,7 @@ use dca::{
     Design, System, SystemConfig, SystemReport, WarmState, WARMUP_BATCH, WARM_FORMAT_VERSION,
 };
 use dca_cpu::{mix, Benchmark, OpStream};
-use dca_dram_cache::{CacheGeometry, MapI, OrgKind, ReplacementPolicy, TagArray};
+use dca_dram_cache::{CacheGeometry, MapI, OrgKind, ReplacementPolicy, TagArray, TagSnapshot};
 use dca_mem_hier::SramCache;
 use dca_sim_core::{digest64, ByteReader, ByteWriter, SeedSplitter};
 use proptest::prelude::*;
@@ -330,8 +330,10 @@ proptest! {
         snap.encode(&mut w);
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
-        let mut decoded = TagArray::decode(&mut r).expect("decode");
+        let decoded_snap = TagSnapshot::decode(&mut r).expect("decode");
         r.finish().expect("fully consumed");
+        prop_assert_eq!(&decoded_snap, &snap);
+        let mut decoded = TagArray::from_snapshot(&decoded_snap);
 
         // Per-op observation: (lookup outcome, predicted victim way).
         type TagStep = (Option<u16>, (u16, Option<(u32, bool)>));
